@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI pipeline: formatting, lints, build, tests (both feature configs),
-# example compile-check, the service smoke test (daemon + loadgen burst),
-# and the perf/service snapshots. Mirrors the recipes in ./justfile.
+# CI pipeline: formatting, lints, build, tests (plus the sim crate's
+# parallel feature), example compile-check, the service smokes (daemon or
+# router + loadgen drill, booted by one shared helper), and the
+# perf/service snapshots. Mirrors the recipes in ./justfile.
 #
 # `./ci.sh serve-smoke` runs only the daemon smoke test (used by
 # `just serve-smoke`); `./ci.sh chaos-smoke` runs only the fault-injection
@@ -15,143 +16,118 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The boot-drive-cleanup sequence every smoke shares. A smoke sets `log`
+# (the server's stderr) and `tmp` (temp paths and globs to remove) first.
+
+# Boots `batsched <args…>` in the background and waits up to $1 tenths of
+# a second for it to announce its address; sets $pid and $addr. Only the
+# booted process prints "listening on" — fleet worker announce lines are
+# consumed by the launcher, never re-emitted.
+boot() {
+  local tries="$1"
+  shift
+  : > "$log"
+  ./target/release/batsched "$@" 2> "$log" &
+  pid=$!
+  addr=""
+  for _ in $(seq 1 "$tries"); do
+    addr=$(grep -oE 'listening on http://127\.0\.0\.1:[0-9]+' "$log" \
+      | head -1 | grep -oE '127\.0\.0\.1:[0-9]+' || true)
+    [ -n "$addr" ] && return 0
+    sleep 0.1
+  done
+  abort "batsched $1 did not announce an address; log:"
+}
+
+# Runs `loadgen <mode…> --addr $addr` against the booted process, then
+# waits for its clean exit (every drill ends with POST /v1/shutdown).
+drive() {
+  ./target/release/loadgen "$@" --addr "$addr" || abort "loadgen $* failed; log:"
+  wait "$pid"
+}
+
+# Prints $1 and the log, stops the booted process, removes the temp
+# files and fails the pipeline — never leaving a server orphaned.
+abort() {
+  echo "$1" >&2
+  cat "$log" >&2
+  kill "$pid" 2> /dev/null || true
+  wait "$pid" 2> /dev/null || true
+  cleanup
+  exit 1
+}
+
+cleanup() {
+  # $tmp holds globs on purpose (a fleet's disk shards).
+  # shellcheck disable=SC2086
+  rm -f $tmp
+}
+
 serve_smoke() {
   echo "==> service smoke (daemon + loadgen burst + warm restart)"
   cargo build --release -q -p batsched-cli -p batsched-bench
-  local log cache
+  local cache
   log="$(mktemp)"
   cache="$(mktemp -u).jsonl"
+  tmp="$log $cache"
 
-  # Boots the daemon on a free port with a disk-backed cache, waits for
-  # the announced address, runs one loadgen smoke mode against it, then
-  # waits for the clean exit. On failure, never leave the daemon orphaned.
-  smoke_round() {
-    local mode="$1"
-    : > "$log"
-    ./target/release/batsched serve --http 127.0.0.1:0 --disk-cache "$cache" 2> "$log" &
-    local pid=$!
-    local addr=""
-    for _ in $(seq 1 100); do
-      addr=$(grep -oE '127\.0\.0\.1:[0-9]+' "$log" | head -1 || true)
-      [ -n "$addr" ] && break
-      sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-      echo "daemon did not announce an address; log:" >&2
-      cat "$log" >&2
-      kill "$pid" 2> /dev/null || true
-      wait "$pid" 2> /dev/null || true
-      rm -f "$log" "$cache"
-      exit 1
-    fi
-    if ! ./target/release/loadgen "$mode" --addr "$addr"; then
-      echo "smoke burst ($mode) failed; daemon log:" >&2
-      cat "$log" >&2
-      kill "$pid" 2> /dev/null || true
-      wait "$pid" 2> /dev/null || true
-      rm -f "$log" "$cache"
-      exit 1
-    fi
-    wait "$pid"
-  }
-
+  # Each round boots the daemon on a free port with a disk-backed cache,
+  # runs one loadgen smoke mode against it, then waits for the clean exit.
   # Round 1: schedule (JSON + binary wire formats, one shared cache key)
   # + malformed + keep-alive pass + stats + shutdown (the daemon compacts
   # its disk cache on the way out).
-  smoke_round --smoke
+  boot 100 serve --http 127.0.0.1:0 --disk-cache "$cache"
+  drive --smoke
   echo "daemon shut down cleanly"
   # Round 2: a fresh daemon on the same cache file must answer the same
   # request — in either wire format — as an X-Cache hit attributed to the
   # disk tier.
-  smoke_round --smoke-warm
+  boot 100 serve --http 127.0.0.1:0 --disk-cache "$cache"
+  drive --smoke-warm
   echo "warm restart served from the disk tier"
-  rm -f "$log" "$cache"
+  cleanup
 }
 
 chaos_smoke() {
   echo "==> chaos smoke (armed daemon + loadgen fault drill)"
   cargo build --release -q -p batsched-cli -p batsched-bench
-  local log cache
+  local cache
   log="$(mktemp)"
   cache="$(mktemp -u).jsonl"
+  tmp="$log $cache"
 
   # Boot a real daemon with the fault plane armed: one solver panic
   # (targeted at the G2/deadline-75 request), a burst of 10 disk-append
   # failures, and 500 ms of injected latency (2x the request deadline) on
   # every 20th request. The rules mirror CHAOS_FAULTS in loadgen.rs —
   # keep the two lists in lockstep.
-  ./target/release/batsched serve --http 127.0.0.1:0 --disk-cache "$cache" \
+  boot 100 serve --http 127.0.0.1:0 --disk-cache "$cache" \
     --request-timeout 250 --disk-breaker 3 --disk-probe-ms 150 \
     --fault 'solver-panic:count=1,key="deadline":75' \
     --fault 'disk-append:after=5,count=10' \
-    --fault 'solver-latency:every=20,ms=500,count=5' 2> "$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 100); do
-    addr=$(grep -oE '127\.0\.0\.1:[0-9]+' "$log" | head -1 || true)
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "daemon did not announce an address; log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$cache"
-    exit 1
-  fi
+    --fault 'solver-latency:every=20,ms=500,count=5'
   # --check asserts: zero lost requests, only typed timeout/internal
   # errors, >=1 worker respawn, disk breaker tripped then re-armed.
-  if ! ./target/release/loadgen --chaos --check --addr "$addr"; then
-    echo "chaos drill failed; daemon log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$cache"
-    exit 1
-  fi
-  wait "$pid"
+  drive --chaos --check
   echo "chaos drill survived: typed errors only, pool respawned, disk tier re-armed"
-  rm -f "$log" "$cache"
+  cleanup
 }
 
 metrics_smoke() {
   echo "==> metrics smoke (daemon + /v1/metrics scrape + span log)"
   cargo build --release -q -p batsched-cli -p batsched-bench
-  local log spans
+  local spans
   log="$(mktemp)"
   spans="$(mktemp)"
+  tmp="$log $spans"
   : > "$spans"
 
   # Boot the daemon with structured span logging; loadgen's first request
   # is a /readyz probe, so the drive only starts once the pool is ready.
-  ./target/release/batsched serve --http 127.0.0.1:0 --log-json "$spans" 2> "$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 100); do
-    addr=$(grep -oE '127\.0\.0\.1:[0-9]+' "$log" | head -1 || true)
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "daemon did not announce an address; log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$spans"
-    exit 1
-  fi
+  boot 100 serve --http 127.0.0.1:0 --log-json "$spans"
   # loadgen drives 4 /v1/schedule requests (cold, 2 hits, malformed),
   # scrapes /v1/metrics and asserts exposition shape and exact counts.
-  if ! ./target/release/loadgen --metrics-smoke --addr "$addr"; then
-    echo "metrics smoke failed; daemon log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$spans"
-    exit 1
-  fi
-  wait "$pid"
+  drive --metrics-smoke
 
   # The span log must carry exactly one span per /v1/schedule request
   # (stats/metrics/readyz/shutdown emit none) with client ids preserved.
@@ -160,68 +136,42 @@ metrics_smoke() {
   if [ "$lines" -ne 4 ]; then
     echo "expected 4 span lines, got $lines; span log:" >&2
     cat "$spans" >&2
-    rm -f "$log" "$spans"
+    cleanup
     exit 1
   fi
   for id in '"trace_id":"metrics-smoke-1"' '"trace_id":"metrics-smoke-bad"'; do
     if ! grep -q "$id" "$spans"; then
       echo "client trace id $id missing from span log:" >&2
       cat "$spans" >&2
-      rm -f "$log" "$spans"
+      cleanup
       exit 1
     fi
   done
   echo "metrics exposition well-formed; span log carried $lines spans with client ids"
-  rm -f "$log" "$spans"
+  cleanup
 }
 
 fleet_smoke() {
   echo "==> fleet smoke (router + 3 workers, kill -9 mid-burst, drain/restart)"
   cargo build --release -q -p batsched-cli -p batsched-bench
-  local log cache
+  local cache
   log="$(mktemp)"
   cache="$(mktemp -u).jsonl"
+  tmp="$log $cache.shard-*"
 
   # Boot the router with 3 supervised `batsched serve` children, each
   # owning its own disk shard ($cache.shard-K). Small probe/backoff
   # budgets keep the kill -9 → respawn → ready cycle fast.
-  ./target/release/batsched fleet --http 127.0.0.1:0 --size 3 --workers 1 \
+  boot 200 fleet --http 127.0.0.1:0 --size 3 --workers 1 \
     --disk-cache "$cache" \
-    --probe-interval-ms 50 --restart-backoff-ms 100 --restart-backoff-max-ms 1000 \
-    2> "$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 200); do
-    # Only the router announces "listening on" — worker announce lines
-    # are consumed by the launcher, never re-emitted.
-    addr=$(grep -oE 'listening on http://127\.0\.0\.1:[0-9]+' "$log" \
-      | head -1 | grep -oE '127\.0\.0\.1:[0-9]+' || true)
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "fleet router did not announce an address; log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$cache".shard-*
-    exit 1
-  fi
+    --probe-interval-ms 50 --restart-backoff-ms 100 --restart-backoff-max-ms 1000
   # loadgen --fleet-smoke: warm burst with pinned routing, kill -9 of the
   # worker owning a known hash slice (pid read from /v1/fleet), zero-loss
   # failover burst, respawn + /readyz recovery, drain drill asserting the
   # ready -> not-ready -> ready transition, then /v1/shutdown.
-  if ! ./target/release/loadgen --fleet-smoke --addr "$addr"; then
-    echo "fleet drill failed; router log:" >&2
-    cat "$log" >&2
-    kill "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
-    rm -f "$log" "$cache".shard-*
-    exit 1
-  fi
-  wait "$pid"
+  drive --fleet-smoke
   echo "fleet drill survived: kill -9 lost nothing, worker respawned, drain cycled readyz"
-  rm -f "$log" "$cache".shard-*
+  cleanup
 }
 
 if [ "${1:-}" = "serve-smoke" ]; then
@@ -250,8 +200,9 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy -D warnings (parallel feature)"
-cargo clippy --workspace --all-targets --features parallel -- -D warnings
+echo "==> cargo clippy -D warnings (sim crate, parallel feature)"
+# Only crates/sim has a parallel path (its Monte-Carlo fan-out).
+cargo clippy -p batsched-sim --all-targets --features parallel -- -D warnings
 
 echo "==> batsched-lint (invariant gates: panic-path, nested-lock, uncapped-wire-alloc, nondeterministic-iter, crate-hygiene)"
 # The workspace invariant linter (crates/lint): hard gate, zero findings
@@ -269,8 +220,8 @@ cargo build --release --examples
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> cargo test (workspace, parallel feature)"
-cargo test --workspace -q --features parallel
+echo "==> cargo test (sim crate, parallel feature)"
+cargo test -p batsched-sim -q --features parallel
 
 serve_smoke
 
@@ -279,12 +230,6 @@ chaos_smoke
 metrics_smoke
 
 fleet_smoke
-
-echo "==> fleet drill (parallel feature, zero-loss floors enforced)"
-# The acceptance gate runs in both feature configs: the in-process fleet
-# drill (router + 3 workers, kill mid-burst) must lose zero requests with
-# the parallel solver kernels compiled in too.
-cargo run --release -q -p batsched-bench --features parallel --bin loadgen -- --fleet --quick --check
 
 echo "==> perf smoke + snapshot (BENCH_scheduler.json, floors enforced)"
 # Quick-mode perf smoke: regenerates the snapshot and fails the pipeline if

@@ -81,6 +81,7 @@
 
 #![forbid(unsafe_code)]
 
+use batsched_service::http::{self, read_response, write_request, Response};
 use batsched_service::wire::DEFAULT_MAX_ITERATIONS;
 use batsched_service::{
     decode_request, decode_response, encode_request, home_slot, parse_request, Disposition,
@@ -95,7 +96,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -386,7 +387,8 @@ fn malformed_stream() -> Vec<String> {
 }
 
 /// A framed HTTP/1.1 client on one TCP connection: responses are read by
-/// their `Content-Length`, so any number of requests can share the stream.
+/// their `Content-Length` (with the service's own codec), so any number
+/// of requests can share the stream.
 struct HttpClient {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
@@ -410,32 +412,16 @@ impl HttpClient {
         body: &str,
         close: bool,
     ) -> (u16, String, String) {
-        self.request_with(method, path, &[], body, close)
+        let resp = self.request_raw(method, path, &[], body.as_bytes(), close);
+        let text = String::from_utf8(resp.body).expect("UTF-8 body");
+        (resp.status, resp.head, text)
     }
 
-    /// Like [`HttpClient::request`] but with extra header lines (for
-    /// example `X-Request-Id: …`) spliced into the request head.
-    fn request_with(
-        &mut self,
-        method: &str,
-        path: &str,
-        extra_headers: &[&str],
-        body: &str,
-        close: bool,
-    ) -> (u16, String, String) {
-        let (status, head, payload) =
-            self.request_raw(method, path, extra_headers, body.as_bytes(), close);
-        (
-            status,
-            head,
-            String::from_utf8(payload).expect("UTF-8 body"),
-        )
-    }
-
-    /// The byte-level form of [`HttpClient::request_with`]: the request
-    /// body is raw bytes (binary wire documents) and the response body
-    /// comes back undecoded, so `Accept`-negotiated binary replies can be
-    /// inspected as bytes.
+    /// The byte-level form of [`HttpClient::request`], with extra header
+    /// lines (for example `X-Request-Id: …`) spliced into the request
+    /// head: the request body is raw bytes (binary wire documents) and the
+    /// response comes back whole, its body undecoded, so
+    /// `Accept`-negotiated binary replies can be inspected as bytes.
     fn request_raw(
         &mut self,
         method: &str,
@@ -443,48 +429,13 @@ impl HttpClient {
         extra_headers: &[&str],
         body: &[u8],
         close: bool,
-    ) -> (u16, String, Vec<u8>) {
-        let connection = if close { "close" } else { "keep-alive" };
-        let extra: String = extra_headers.iter().map(|h| format!("{h}\r\n")).collect();
-        let req_head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: {connection}\r\n{extra}\r\n",
-            body.len()
-        );
-        self.stream
-            .write_all(req_head.as_bytes())
-            .expect("send request head");
-        self.stream.write_all(body).expect("send request body");
-        let mut head = String::new();
-        loop {
-            let mut line = String::new();
-            let n = self
-                .reader
-                .read_line(&mut line)
-                .expect("read response head");
-            assert!(n > 0, "server closed before a full response head");
-            if line.trim_end().is_empty() {
-                break;
-            }
-            head.push_str(&line);
-        }
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .unwrap_or_else(|| panic!("unparseable response head: {head}"));
-        let len: usize = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                name.eq_ignore_ascii_case("content-length")
-                    .then(|| value.trim().parse().expect("numeric Content-Length"))
-            })
-            .expect("response carries Content-Length");
-        let mut payload = vec![0u8; len];
-        self.reader
-            .read_exact(&mut payload)
-            .expect("read response body");
-        (status, head, payload)
+    ) -> Response {
+        let connection = format!("Connection: {}", if close { "close" } else { "keep-alive" });
+        let headers = [&["Host: localhost", &connection], extra_headers].concat();
+        write_request(&mut self.stream, method, path, &headers, body).expect("send request");
+        read_response(&mut self.reader)
+            .expect("read response")
+            .expect("server closed before a full response")
     }
 }
 
@@ -939,14 +890,6 @@ fn run_chaos(quick: bool, check: bool, addr: Option<&str>) -> ChaosReport {
     report
 }
 
-/// Pulls one header's value out of a response head.
-fn header_value(head: &str, name: &str) -> Option<String> {
-    head.lines().find_map(|l| {
-        let (n, v) = l.split_once(':')?;
-        n.eq_ignore_ascii_case(name).then(|| v.trim().to_string())
-    })
-}
-
 /// A one-shot HTTP call that reports transport failures instead of
 /// panicking — the kill-drill classifier: any `Err` is a *lost* request
 /// (the fleet broke its exactly-once answer contract).
@@ -956,57 +899,10 @@ fn try_http_call(
     path: &str,
     body: &str,
 ) -> std::io::Result<(u16, String, String)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut writer = stream.try_clone()?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
-    let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before a full response head",
-            ));
-        }
-        if line.trim_end().is_empty() {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "unparseable status line")
-        })?;
-    let len: usize = head
-        .lines()
-        .find_map(|l| {
-            let (n, v) = l.split_once(':')?;
-            if n.eq_ignore_ascii_case("content-length") {
-                v.trim().parse().ok()
-            } else {
-                None
-            }
-        })
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "response has no Content-Length",
-            )
-        })?;
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    Ok((status, head, String::from_utf8_lossy(&payload).into_owned()))
+    let addr = addr.parse().map_err(std::io::Error::other)?;
+    let resp = http::call(addr, method, path, body.as_bytes(), Duration::from_secs(30))?;
+    let payload = resp.text().into_owned();
+    Ok((resp.status, resp.head, payload))
 }
 
 /// The duplicate-heavy fleet stream: `unique` distinct bodies repeated
@@ -1096,12 +992,12 @@ fn run_fleet(quick: bool, check: bool) -> FleetReport {
     }
     // Routing is pinned: duplicates of one body land on one worker.
     let mut client = HttpClient::connect(&addr);
-    let (_, head_a, _) = client.request("POST", "/v1/schedule", &uniques[0], false);
-    let (_, head_b, _) = client.request("POST", "/v1/schedule", &uniques[0], false);
-    let pinned = header_value(&head_a, "X-Fleet-Worker").expect("router names its worker");
+    let a = client.request_raw("POST", "/v1/schedule", &[], uniques[0].as_bytes(), false);
+    let b = client.request_raw("POST", "/v1/schedule", &[], uniques[0].as_bytes(), false);
+    let pinned = a.header("X-Fleet-Worker").expect("router names its worker");
     assert_eq!(
-        Some(&pinned),
-        header_value(&head_b, "X-Fleet-Worker").as_ref(),
+        Some(pinned),
+        b.header("X-Fleet-Worker"),
         "duplicates must pin to one worker"
     );
     let t0 = Instant::now();
@@ -1268,12 +1164,12 @@ fn run_fleet_smoke(addr: &str) {
         let (code, _, payload) = client.request("POST", "/v1/schedule", &b, false);
         assert_eq!(code, 200, "warm burst request failed: {payload}");
     }
-    let (_, head_a, _) = client.request("POST", "/v1/schedule", &uniques[0], false);
-    let (_, head_b, _) = client.request("POST", "/v1/schedule", &uniques[0], true);
-    let owner = header_value(&head_a, "X-Fleet-Worker").expect("router names its worker");
+    let a = client.request_raw("POST", "/v1/schedule", &[], uniques[0].as_bytes(), false);
+    let b = client.request_raw("POST", "/v1/schedule", &[], uniques[0].as_bytes(), true);
+    let owner = a.header("X-Fleet-Worker").expect("router names its worker");
     assert_eq!(
-        Some(&owner),
-        header_value(&head_b, "X-Fleet-Worker").as_ref(),
+        Some(owner),
+        b.header("X-Fleet-Worker"),
         "duplicates must pin to one worker"
     );
     let victim: usize = owner.parse().expect("worker id is a slot index");
@@ -1665,7 +1561,11 @@ fn run_smoke(addr: &str) {
     // request must hit the cache entry the JSON cold solve created (one
     // canonical key across formats) and answer the identical JSON body.
     let bin = encode_request(&ScheduleRequest::new(g2(), 75.0));
-    let (code, head, payload) = client.request_raw(
+    let Response {
+        status: code,
+        head,
+        body: payload,
+    } = client.request_raw(
         "POST",
         "/v1/schedule",
         &["Content-Type: application/x-batsched-bin"],
@@ -1684,7 +1584,11 @@ fn run_smoke(addr: &str) {
     );
     // And an `Accept`-negotiated binary response must transcode back to
     // the exact canonical JSON body.
-    let (code, head, raw) = client.request_raw(
+    let Response {
+        status: code,
+        head,
+        body: raw,
+    } = client.request_raw(
         "POST",
         "/v1/schedule",
         &[
@@ -1741,7 +1645,11 @@ fn run_smoke_warm(addr: &str) {
     // The binary spelling of the same request must be answered warm from
     // the same (JSON-era) disk tier, bit-identical to the JSON answer.
     let bin = encode_request(&ScheduleRequest::new(g2(), 75.0));
-    let (code, head, warm_bin) = client.request_raw(
+    let Response {
+        status: code,
+        head,
+        body: warm_bin,
+    } = client.request_raw(
         "POST",
         "/v1/schedule",
         &["Content-Type: application/x-batsched-bin"],
@@ -1779,11 +1687,13 @@ fn run_metrics_smoke(addr: &str) {
 
     // One cold solve carrying a client trace id: the id must be echoed.
     let body = body_for(&g2(), 75.0);
-    let (code, head, _) = client.request_with(
+    let Response {
+        status: code, head, ..
+    } = client.request_raw(
         "POST",
         "/v1/schedule",
         &["X-Request-Id: metrics-smoke-1"],
-        &body,
+        body.as_bytes(),
         false,
     );
     assert_eq!(code, 200);
@@ -1798,11 +1708,13 @@ fn run_metrics_smoke(addr: &str) {
         assert_eq!(code, 200);
         assert!(head.contains("X-Cache: hit"), "{head}");
     }
-    let (code, head, _) = client.request_with(
+    let Response {
+        status: code, head, ..
+    } = client.request_raw(
         "POST",
         "/v1/schedule",
         &["X-Request-Id: metrics-smoke-bad"],
-        "{ nope",
+        b"{ nope",
         false,
     );
     assert_eq!(code, 400);

@@ -11,17 +11,11 @@
 //! atomics on the hot path. A serving worker snapshots
 //! [`SolverWorkspace::prof`](crate::algorithm::SolverWorkspace::prof)
 //! before and after a request and diffs with [`Prof::since`].
-//!
-//! With the `parallel` feature, `evaluate_windows` runs each window on a
-//! rayon worker holding its own thread-local buffers; those buffers'
-//! counters are not folded back into the caller's workspace, so a
-//! parallel build under-reports window/row counts (the sequential
-//! service path — the measured configuration — is exact).
 
 use serde::{Deserialize, Serialize};
 
 /// Cumulative solver-phase counters (see the module docs for the
-/// counting sites and the `parallel`-feature caveat).
+/// counting sites).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Prof {
     /// Windows evaluated (`ChooseDesignPoints` sweeps, including the

@@ -1759,8 +1759,7 @@ impl EvalBuffers {
 
     /// Snapshot of the cumulative solver-phase counters accumulated by
     /// every search that ran through these buffers (see
-    /// [`crate::prof::Prof`] for what each counter means and the
-    /// `parallel`-feature caveat).
+    /// [`crate::prof::Prof`] for what each counter means).
     pub fn prof(&self) -> crate::prof::Prof {
         let (sigma_evals, sigma_reused, sigma_fresh) = self.sigma.cache_stats();
         crate::prof::Prof {
@@ -1821,11 +1820,8 @@ fn evaluate_one_window(
 
 /// `EvaluateWindows` (Fig. 1): finds the feasible starting window, evaluates
 /// every window from there down to the full matrix, and returns all records
-/// plus the index of the cheapest.
-///
-/// With the `parallel` feature the windows are evaluated concurrently
-/// (they are independent searches); record order and the cheapest-window
-/// tie-break are identical to the sequential path.
+/// plus the index of the cheapest. The windows run in sequence through
+/// one buffer set, so each can reuse the previous window's carry.
 ///
 /// # Errors
 ///
@@ -1850,45 +1846,10 @@ pub(crate) fn evaluate_windows(
         ws_start -= 1;
     }
 
-    #[cfg(feature = "parallel")]
-    let records: Vec<WindowRecord> = {
-        // The parallel path keeps one buffer set per worker thread instead;
-        // the caller's carry-disable switch (bench baseline) must still
-        // reach them.
-        let carry_disabled = buffers.carry_disabled;
-        use rayon::prelude::*;
-        use std::cell::RefCell;
-        // One buffer set per worker thread, reused across windows and
-        // across calls — keeps the one-allocation-per-run property on the
-        // parallel path too.
-        thread_local! {
-            static BUFFERS: RefCell<EvalBuffers> = RefCell::new(EvalBuffers::new());
-        }
-        let results: Vec<Result<WindowRecord, SchedulerError>> = (0..ws_start + 1)
-            .into_par_iter()
-            .map(|k| {
-                let ws = ws_start - k; // preserve the sequential order
-                BUFFERS.with(|b| {
-                    let b = &mut *b.borrow_mut();
-                    if b.carry_disabled != carry_disabled {
-                        b.carry_disabled = carry_disabled;
-                        b.carry.valid = false;
-                    }
-                    evaluate_one_window(ctx, seq, ws, b)
-                })
-            })
-            .collect();
-        results.into_iter().collect::<Result<Vec<_>, _>>()?
-    };
-
-    #[cfg(not(feature = "parallel"))]
-    let records: Vec<WindowRecord> = {
-        let mut records = Vec::with_capacity(ws_start + 1);
-        for ws in (0..=ws_start).rev() {
-            records.push(evaluate_one_window(ctx, seq, ws, buffers)?);
-        }
-        records
-    };
+    let mut records = Vec::with_capacity(ws_start + 1);
+    for ws in (0..=ws_start).rev() {
+        records.push(evaluate_one_window(ctx, seq, ws, buffers)?);
+    }
 
     let mut best: Option<(usize, f64)> = None;
     for (idx, r) in records.iter().enumerate() {

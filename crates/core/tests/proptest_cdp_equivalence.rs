@@ -9,9 +9,7 @@
 //! the cross-window carry, or the resumed-promotion logic. The
 //! descending-window loops drive consecutive `ws+1 → ws` evaluations
 //! through one buffer set, so the cross-window carry (clean-row fast path
-//! and dirty-row re-evaluation) is exercised on every case. Runs under
-//! both feature configurations (the `parallel` sweep reuses per-thread
-//! kernels).
+//! and dirty-row re-evaluation) is exercised on every case.
 
 use batsched_battery::units::Minutes;
 use batsched_core::search::DiagSearch;

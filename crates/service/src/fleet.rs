@@ -45,16 +45,16 @@
 //! size is fixed at boot.
 
 use crate::http::{
-    self, is_timeout, read_request, reason_phrase, write_response, write_response_bytes,
-    write_response_typed, Request, RequestError,
+    self, read_response, spawn_server, write_request, write_response, Next, Request, Response,
+    JSON, PROMETHEUS_TEXT,
 };
 use crate::metrics::{render_sample, render_type};
-use crate::service::{Service, ServiceConfig};
+use crate::service::{lock_recover, Service, ServiceConfig};
 use crate::wire::{self, ErrorResponse};
 use crate::{FaultPlane, HttpServer};
 use serde::Serialize;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -624,17 +624,6 @@ impl FleetShared {
     }
 }
 
-/// Locks a fleet mutex, recovering from poisoning. Fleet state (slots,
-/// connection pools) is plain data with no mid-update invariants a
-/// panicking holder could tear halfway: the monitor re-derives every
-/// worker's state on its next pass and stale pooled connections are
-/// already fenced by the epoch counter. Inheriting the poisoned value
-/// degrades at most one worker; propagating the panic would wedge the
-/// whole router.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// A running fleet: router listener + supervised workers.
 pub struct Fleet {
     addr: SocketAddr,
@@ -704,9 +693,6 @@ impl Fleet {
     ) -> Result<Fleet, FleetStartError> {
         validate(&cfg).map_err(FleetStartError::Config)?;
         let listener = TcpListener::bind(addr).map_err(FleetStartError::Io)?;
-        listener
-            .set_nonblocking(true)
-            .map_err(FleetStartError::Io)?;
         let addr = listener.local_addr().map_err(FleetStartError::Io)?;
 
         let now = Instant::now();
@@ -752,11 +738,16 @@ impl Fleet {
         let shutdown = Arc::new(AtomicBool::new(false));
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let flag = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("batsched-fleet-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &flag))
-                .map_err(FleetStartError::Io)?
+            spawn_server(
+                "batsched-fleet",
+                listener,
+                Arc::clone(&shutdown),
+                (http::IDLE_TIMEOUT, http::MAX_REQUESTS_PER_CONNECTION),
+                Arc::new(move |req: Request, stream: &mut TcpStream| {
+                    serve_fleet_one(req, stream, &shared)
+                }),
+            )
+            .map_err(FleetStartError::Io)?
         };
         let monitor = {
             let shared = Arc::clone(&shared);
@@ -818,8 +809,6 @@ impl Fleet {
             return false;
         };
         handle.kill();
-        slot.handle = None;
-        slot.addr = None;
         mark_down(&self.shared, k, &mut slot, "killed");
         true
     }
@@ -852,12 +841,9 @@ impl Fleet {
     /// Stops the router and tears the fleet down gracefully: each worker
     /// gets `POST /v1/shutdown` (compacting its disk shard) and a bounded
     /// wait before being killed.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        self.finish();
+        self.wait();
     }
 
     fn finish(&mut self) {
@@ -988,9 +974,12 @@ fn metrics_of(shared: &Arc<FleetShared>) -> String {
 // Worker lifecycle (monitor thread)
 // ---------------------------------------------------------------------------
 
-/// Transitions a slot to `Down` and escalates its backoff. The caller has
-/// already disposed of the handle (or knows it is dead).
+/// Transitions a slot to `Down`, dropping its handle and address, and
+/// escalates its backoff. The caller has already killed the worker (or
+/// knows it is dead).
 fn mark_down(shared: &Arc<FleetShared>, k: usize, slot: &mut Slot, _why: &str) {
+    slot.handle = None;
+    slot.addr = None;
     let Some(w) = shared.workers.get(k) else {
         return;
     };
@@ -1058,14 +1047,10 @@ fn step_slot(shared: &Arc<FleetShared>, k: usize) {
                 None => None, // launch in progress elsewhere
                 Some(handle) => {
                     if handle.poll_dead() {
-                        slot.handle = None;
-                        slot.addr = None;
                         mark_down(shared, k, slot, "died while starting");
                         None
                     } else if slot.since.elapsed() > shared.cfg.start_timeout {
                         handle.kill();
-                        slot.handle = None;
-                        slot.addr = None;
                         mark_down(shared, k, slot, "start timeout");
                         None
                     } else {
@@ -1077,8 +1062,6 @@ fn step_slot(shared: &Arc<FleetShared>, k: usize) {
                 None => None,
                 Some(handle) => {
                     if handle.poll_dead() {
-                        slot.handle = None;
-                        slot.addr = None;
                         mark_down(shared, k, slot, "died");
                         None
                     } else if w.proxy_failures.load(Ordering::Relaxed)
@@ -1087,8 +1070,6 @@ fn step_slot(shared: &Arc<FleetShared>, k: usize) {
                         // Wedged: accepting connections but failing every
                         // exchange. Kill and restart with backoff.
                         handle.kill();
-                        slot.handle = None;
-                        slot.addr = None;
                         mark_down(shared, k, slot, "breaker tripped");
                         None
                     } else {
@@ -1130,8 +1111,6 @@ fn step_slot(shared: &Arc<FleetShared>, k: usize) {
                     if let Some(handle) = slot.handle.as_mut() {
                         handle.kill();
                     }
-                    slot.handle = None;
-                    slot.addr = None;
                     mark_down(shared, k, &mut slot, "failed readiness probes");
                 }
             }
@@ -1166,39 +1145,15 @@ fn monitor_loop(shared: &Arc<FleetShared>, shutdown: &Arc<AtomicBool>) {
 
 /// `GET /readyz` against a worker; `true` on a 200 within `timeout`.
 fn probe_ready(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-    {
-        return false;
-    }
-    let req = format!("GET /readyz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    if stream.write_all(req.as_bytes()).is_err() {
-        return false;
-    }
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    matches!(reader.read_line(&mut line), Ok(n) if n > 0) && line.contains(" 200 ")
+    matches!(http::call(addr, "GET", "/readyz", b"", timeout), Ok(r) if r.status == 200)
 }
 
 /// Best-effort `POST /v1/shutdown` to a worker (graceful stop: it drains
-/// its queue and compacts its disk shard).
+/// its queue and compacts its disk shard). Waits for the acknowledgement
+/// (or EOF) so the worker has actually begun shutting down before the
+/// caller starts waiting on its exit.
 fn post_shutdown(addr: SocketAddr, timeout: Duration) {
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return;
-    };
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let req = format!(
-        "POST /v1/shutdown HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    );
-    let _ = stream.write_all(req.as_bytes());
-    // Wait for the acknowledgement (or EOF) so the worker has actually
-    // begun shutting down before the caller starts waiting on its exit.
-    let mut buf = [0u8; 512];
-    let _ = stream.read(&mut buf);
+    let _ = http::call(addr, "POST", "/v1/shutdown", b"", timeout);
 }
 
 // ---------------------------------------------------------------------------
@@ -1264,154 +1219,33 @@ fn run_drain(shared: &Arc<FleetShared>, k: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Router: accept loop and request handling
+// Router: request handling (the connection loop is `http`'s)
 // ---------------------------------------------------------------------------
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<FleetShared>, shutdown: &Arc<AtomicBool>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                let flag = Arc::clone(shutdown);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("batsched-fleet-conn".into())
-                    .spawn(move || {
-                        let _ = handle_client(stream, &shared, &flag);
-                    })
-                {
-                    conns.push(h);
-                }
-                conns.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                conns.retain(|h| !h.is_finished());
-                std::thread::sleep(http::ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(http::ACCEPT_POLL),
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-fn handle_client(
-    stream: TcpStream,
-    shared: &Arc<FleetShared>,
-    shutdown: &Arc<AtomicBool>,
-) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_write_timeout(Some(http::IO_TIMEOUT))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut stream = stream;
-    let mut served = 0usize;
-
-    loop {
-        let mut idled = Duration::ZERO;
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            stream.set_read_timeout(Some(http::IDLE_POLL))?;
-            match reader.fill_buf() {
-                Ok([]) => return Ok(()),
-                Ok(_) => break,
-                Err(e) if is_timeout(&e) => {
-                    idled += http::IDLE_POLL;
-                    if idled >= http::IDLE_TIMEOUT {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        stream.set_read_timeout(Some(http::IO_TIMEOUT))?;
-
-        served += 1;
-        let request = read_request(&mut reader);
-        let wants_more = matches!(&request, Ok(req) if req.keep_alive)
-            && served < http::MAX_REQUESTS_PER_CONNECTION
-            && !shutdown.load(Ordering::SeqCst);
-
-        let exit = serve_fleet_one(request, &mut stream, shared, shutdown, wants_more)?;
-        if matches!(exit, ClientExit::Close) || !wants_more {
-            return Ok(());
-        }
-    }
-}
-
-enum ClientExit {
-    KeepGoing,
-    Close,
-}
-
 fn serve_fleet_one(
-    request: Result<Request, RequestError>,
+    req: Request,
     stream: &mut TcpStream,
     shared: &Arc<FleetShared>,
-    shutdown: &Arc<AtomicBool>,
-    keep_alive: bool,
-) -> io::Result<ClientExit> {
-    // Framing failures mirror the worker frontend exactly: typed error,
-    // then close — the router never guesses where the next request starts.
-    let req = match request {
-        Ok(req) => req,
-        Err(RequestError::TooLarge) => {
-            write_response(
-                stream,
-                413,
-                reason_phrase(413),
-                &ErrorResponse::new("too_large", "request head or body exceeds the size limit")
-                    .to_json(),
-                &[],
-                false,
-            )?;
-            return Ok(ClientExit::Close);
-        }
-        Err(RequestError::Malformed(msg)) => {
-            write_response(
-                stream,
-                400,
-                reason_phrase(400),
-                &ErrorResponse::new("bad_http", msg).to_json(),
-                &[],
-                false,
-            )?;
-            return Ok(ClientExit::Close);
-        }
-        Err(RequestError::Unsupported(msg)) => {
-            write_response(
-                stream,
-                501,
-                reason_phrase(501),
-                &ErrorResponse::new("unsupported_transfer_encoding", msg).to_json(),
-                &[],
-                false,
-            )?;
-            return Ok(ClientExit::Close);
-        }
-        Err(RequestError::Io(e)) => return Err(e),
+) -> io::Result<Next> {
+    let keep_alive = req.keep_alive;
+    let echo = req.echo_header();
+    let mut reply_json = |status: u16, body: &str| {
+        write_response(
+            stream,
+            status,
+            JSON,
+            body.as_bytes(),
+            echo.as_slice(),
+            keep_alive,
+        )
     };
 
-    let echo_header = req
-        .request_id
-        .as_ref()
-        .map(|id| format!("X-Request-Id: {id}"));
-    let echo: Vec<&str> = echo_header.as_deref().into_iter().collect();
-
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/v1/schedule") => proxy_schedule(&req, stream, shared, keep_alive),
-        ("GET", "/healthz") => {
-            write_response(stream, 200, "OK", r#"{"ok":true}"#, &echo, keep_alive)?;
-            Ok(ClientExit::KeepGoing)
-        }
+        ("POST", "/v1/schedule") => return proxy_schedule(&req, stream, shared, keep_alive),
         ("GET", "/readyz") => {
             let status = status_of(shared);
             if status.ready {
-                write_response(stream, 200, "OK", r#"{"ready":true}"#, &echo, keep_alive)?;
+                reply_json(200, r#"{"ready":true}"#)?;
             } else {
                 let mut reasons: Vec<String> = status
                     .workers
@@ -1423,112 +1257,56 @@ fn serve_fleet_one(
                     reasons.push("\"shutting_down\"".to_string());
                 }
                 let body = format!("{{\"ready\":false,\"reasons\":[{}]}}", reasons.join(","));
-                write_response(stream, 503, reason_phrase(503), &body, &echo, keep_alive)?;
+                reply_json(503, &body)?;
             }
-            Ok(ClientExit::KeepGoing)
         }
         ("GET", "/v1/fleet") => {
             // lint:allow(panic-path): FleetStatus is an owned in-memory struct
             // of strings/ints with derived Serialize; serialisation cannot fail.
             let body = serde_json::to_string(&status_of(shared)).expect("fleet status serialises");
-            write_response(stream, 200, "OK", &body, &echo, keep_alive)?;
-            Ok(ClientExit::KeepGoing)
+            reply_json(200, &body)?;
         }
-        ("GET", "/v1/metrics") => {
-            write_response_typed(
-                stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &metrics_of(shared),
-                &echo,
-                keep_alive,
-            )?;
-            Ok(ClientExit::KeepGoing)
-        }
+        ("GET", "/v1/metrics") => write_response(
+            stream,
+            200,
+            PROMETHEUS_TEXT,
+            metrics_of(shared).as_bytes(),
+            echo.as_slice(),
+            keep_alive,
+        )?,
         ("POST", path) if path.starts_with("/v1/fleet/drain/") => {
             let spec = path.strip_prefix("/v1/fleet/drain/").unwrap_or_default();
             match spec.parse::<usize>() {
                 Ok(k) => match drain_worker(shared, k) {
-                    Ok(()) => {
-                        let body = format!("{{\"ok\":true,\"draining\":{k}}}");
-                        write_response(stream, 200, "OK", &body, &echo, keep_alive)?;
-                    }
+                    Ok(()) => reply_json(200, &format!("{{\"ok\":true,\"draining\":{k}}}"))?,
                     Err(msg) => {
-                        write_response(
-                            stream,
-                            409,
-                            "Conflict",
-                            &ErrorResponse::new("drain_rejected", msg).to_json(),
-                            &echo,
-                            keep_alive,
-                        )?;
+                        reply_json(409, &ErrorResponse::new("drain_rejected", msg).to_json())?;
                     }
                 },
                 Err(_) => {
-                    write_response(
-                        stream,
-                        400,
-                        reason_phrase(400),
-                        &ErrorResponse::new(
-                            "bad_request",
-                            format!("'{spec}' is not a worker index"),
-                        )
-                        .to_json(),
-                        &echo,
-                        keep_alive,
-                    )?;
+                    let err = ErrorResponse::new(
+                        "bad_request",
+                        format!("'{spec}' is not a worker index"),
+                    );
+                    reply_json(400, &err.to_json())?;
                 }
             }
-            Ok(ClientExit::KeepGoing)
         }
-        ("POST", "/v1/shutdown") => {
-            write_response(
-                stream,
-                200,
-                "OK",
-                r#"{"ok":true,"shutting_down":true}"#,
-                &echo,
-                false,
-            )?;
-            shutdown.store(true, Ordering::SeqCst);
-            Ok(ClientExit::Close)
-        }
-        _ => {
-            write_response(
-                stream,
-                404,
-                reason_phrase(404),
-                &ErrorResponse::new("not_found", format!("no route {} {}", req.method, req.path))
-                    .to_json(),
-                &echo,
-                keep_alive,
-            )?;
-            Ok(ClientExit::KeepGoing)
-        }
+        _ => reply_json(404, &req.not_found().to_json())?,
     }
+    Ok(Next::Continue)
 }
 
 // ---------------------------------------------------------------------------
 // Proxying
 // ---------------------------------------------------------------------------
 
-/// A fully buffered upstream response, ready to relay or retry.
-struct UpstreamResponse {
-    status: u16,
-    content_type: String,
-    x_cache: Option<String>,
-    request_id: Option<String>,
-    keep_alive: bool,
-    body: Vec<u8>,
-}
-
 fn proxy_schedule(
     req: &Request,
     stream: &mut TcpStream,
     shared: &Arc<FleetShared>,
     keep_alive: bool,
-) -> io::Result<ClientExit> {
+) -> io::Result<Next> {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     // Routing key: FNV-1a over the raw body bytes, folded onto a home
     // slot. Raw-byte hashing keeps routing allocation- and parse-free;
@@ -1569,48 +1347,41 @@ fn proxy_schedule(
 
     match verdict {
         Some((k, resp)) => {
-            let rid = format!(
-                "X-Request-Id: {}",
-                resp.request_id.as_deref().unwrap_or(&trace_id)
-            );
-            let fw = format!("X-Fleet-Worker: {k}");
-            let mut headers: Vec<&str> = vec![rid.as_str(), fw.as_str()];
-            let xc = resp.x_cache.as_ref().map(|v| format!("X-Cache: {v}"));
-            if let Some(xc) = &xc {
-                headers.push(xc.as_str());
-            }
-            write_response_bytes(
+            let rid = resp.header("x-request-id").unwrap_or(&trace_id);
+            let mut headers = vec![
+                format!("X-Request-Id: {rid}"),
+                format!("X-Fleet-Worker: {k}"),
+            ];
+            headers.extend(resp.header("x-cache").map(|v| format!("X-Cache: {v}")));
+            write_response(
                 stream,
                 resp.status,
-                reason_phrase(resp.status),
-                &resp.content_type,
+                resp.header("content-type").unwrap_or(JSON),
                 &resp.body,
                 &headers,
                 keep_alive,
             )?;
-            Ok(ClientExit::KeepGoing)
         }
         None => {
             shared.unavailable.fetch_add(1, Ordering::Relaxed);
-            let rid = format!("X-Request-Id: {trace_id}");
+            let err = ErrorResponse::new(
+                "upstream_unavailable",
+                format!(
+                    "no worker answered after {attempts} attempt(s); the request is \
+                     idempotent and may be retried"
+                ),
+            );
             write_response(
                 stream,
                 503,
-                reason_phrase(503),
-                &ErrorResponse::new(
-                    "upstream_unavailable",
-                    format!(
-                        "no worker answered after {attempts} attempt(s); the request is \
-                         idempotent and may be retried"
-                    ),
-                )
-                .to_json(),
-                &[rid.as_str()],
+                JSON,
+                err.to_json().as_bytes(),
+                &[format!("X-Request-Id: {trace_id}")],
                 keep_alive,
             )?;
-            Ok(ClientExit::KeepGoing)
         }
     }
+    Ok(Next::Continue)
 }
 
 /// One bounded attempt against worker `k`: checkout (pooled or fresh),
@@ -1622,7 +1393,7 @@ fn proxy_attempt(
     k: usize,
     req: &Request,
     trace_id: &str,
-) -> io::Result<UpstreamResponse> {
+) -> io::Result<Response> {
     let Some(w) = shared.workers.get(k) else {
         return Err(io::Error::other("worker index out of range"));
     };
@@ -1637,22 +1408,19 @@ fn proxy_attempt(
         let pooled = lock_recover(&w.pool).pop();
         if let Some(mut conn) = pooled {
             if let Ok(resp) = exchange(&mut conn, addr, req, trace_id) {
-                repool(shared, k, conn, resp.keep_alive);
+                repool(shared, k, conn, &resp);
                 return Ok(resp);
             }
         }
         let epoch = w.epoch.load(Ordering::SeqCst);
-        let stream = TcpStream::connect_timeout(&addr, shared.cfg.upstream_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(shared.cfg.upstream_timeout))?;
-        stream.set_write_timeout(Some(shared.cfg.upstream_timeout))?;
+        let stream = http::connect(addr, shared.cfg.upstream_timeout)?;
         let mut conn = UpstreamConn {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
             epoch,
         };
         let resp = exchange(&mut conn, addr, req, trace_id)?;
-        repool(shared, k, conn, resp.keep_alive);
+        repool(shared, k, conn, &resp);
         Ok(resp)
     })();
     w.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -1669,12 +1437,15 @@ fn proxy_attempt(
     result
 }
 
-/// Returns a healthy keep-alive connection to worker `k`'s pool — unless
-/// the worker was restarted since checkout (stale epoch) or the pool is
-/// already full.
-fn repool(shared: &Arc<FleetShared>, k: usize, conn: UpstreamConn, keep_alive: bool) {
+/// Returns a healthy connection to worker `k`'s pool — unless the worker
+/// announced `Connection: close` on `resp`, was restarted since checkout
+/// (stale epoch) or the pool is already full.
+fn repool(shared: &Arc<FleetShared>, k: usize, conn: UpstreamConn, resp: &Response) {
     const MAX_POOLED: usize = 8;
-    if !keep_alive {
+    if resp
+        .header("connection")
+        .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+    {
         return;
     }
     let Some(w) = shared.workers.get(k) else {
@@ -1695,102 +1466,30 @@ fn exchange(
     addr: SocketAddr,
     req: &Request,
     trace_id: &str,
-) -> io::Result<UpstreamResponse> {
-    let mut head = format!(
-        "POST /v1/schedule HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n",
-        req.body.len()
+) -> io::Result<Response> {
+    let mut headers = vec![format!("Host: {addr}")];
+    headers.extend(
+        req.content_type
+            .as_ref()
+            .map(|ct| format!("Content-Type: {ct}")),
     );
-    if let Some(ct) = &req.content_type {
-        head.push_str(&format!("Content-Type: {ct}\r\n"));
-    }
     if req.accept_binary {
-        head.push_str(&format!("Accept: {}\r\n", crate::wire_bin::CONTENT_TYPE));
+        headers.push(format!("Accept: {}", crate::wire_bin::CONTENT_TYPE));
     }
-    head.push_str(&format!(
-        "X-Request-Id: {trace_id}\r\nConnection: keep-alive\r\n\r\n"
-    ));
-    conn.writer.write_all(head.as_bytes())?;
-    conn.writer.write_all(&req.body)?;
-    conn.writer.flush()?;
-    read_upstream_response(&mut conn.reader)
-}
-
-/// Reads one head line, treating EOF and truncation as hard errors — a
-/// response that stops mid-head means the upstream died mid-exchange.
-fn read_resp_line<R: BufRead>(reader: &mut R) -> io::Result<String> {
-    const MAX_LINE: u64 = 16 * 1024;
-    let mut raw = Vec::new();
-    let n = reader.by_ref().take(MAX_LINE).read_until(b'\n', &mut raw)?;
-    if n == 0 || raw.last() != Some(&b'\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "upstream closed mid-response",
-        ));
-    }
-    String::from_utf8(raw)
-        .map(|s| s.trim_end_matches(['\r', '\n']).to_string())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response head"))
-}
-
-fn read_upstream_response<R: BufRead>(reader: &mut R) -> io::Result<UpstreamResponse> {
-    let status_line = read_resp_line(reader)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unreadable status line {status_line:?}"),
-            )
-        })?;
-    let mut content_length: Option<usize> = None;
-    let mut content_type = String::from("application/json");
-    let mut x_cache = None;
-    let mut request_id = None;
-    let mut keep_alive = true;
-    loop {
-        let line = read_resp_line(reader)?;
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().ok();
-        } else if name.eq_ignore_ascii_case("content-type") {
-            content_type = value.to_string();
-        } else if name.eq_ignore_ascii_case("x-cache") {
-            x_cache = Some(value.to_string());
-        } else if name.eq_ignore_ascii_case("x-request-id") {
-            request_id = Some(value.to_string());
-        } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
-            keep_alive = false;
-        }
-    }
-    let len = content_length.ok_or_else(|| {
+    headers.push(format!("X-Request-Id: {trace_id}"));
+    headers.push("Connection: keep-alive".into());
+    write_request(
+        &mut conn.writer,
+        "POST",
+        "/v1/schedule",
+        &headers,
+        &req.body,
+    )?;
+    read_response(&mut conn.reader)?.ok_or_else(|| {
         io::Error::new(
-            io::ErrorKind::InvalidData,
-            "upstream response without Content-Length",
+            io::ErrorKind::UnexpectedEof,
+            "upstream closed before responding",
         )
-    })?;
-    if len > http::MAX_BODY_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "upstream response body over the size cap",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    Ok(UpstreamResponse {
-        status,
-        content_type,
-        x_cache,
-        request_id,
-        keep_alive,
-        body,
     })
 }
 

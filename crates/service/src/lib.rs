@@ -25,8 +25,11 @@
 //!   since PR 3) so steady-state solving stays allocation-free end to
 //!   end, plus stats counters and graceful shutdown;
 //! * [`jsonl`] — the stdio/pipe frontend (one document per line);
-//! * [`http`] — a dependency-free HTTP/1.1 frontend on `std::net` with
-//!   keep-alive connections and strict request framing;
+//! * [`http`] — the one HTTP/1.1 layer, dependency-free on `std::net`:
+//!   the daemon's frontend, the keep-alive connection loop the fleet
+//!   router shares with it, strict framing, and the client codec
+//!   ([`http::write_request`], [`http::read_response`]) the router, the
+//!   load generator and the tests use;
 //! * [`fleet`] — fleet-scale serving: a front-tier router that spawns and
 //!   supervises N worker processes, routes each request by folded
 //!   content-hash bits to a consistent worker slice, and retries failed

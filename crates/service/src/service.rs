@@ -382,14 +382,17 @@ struct Breaker {
     degraded: AtomicBool,
 }
 
-/// Locks a service mutex, recovering from poisoning rather than
-/// propagating a dead holder's panic to every later caller. Each
-/// protected value stays usable after a panic: breaker state and the
-/// sender/supervisor options are plain data, the job-queue receiver is
-/// just a channel endpoint, and the disk tier validates every record on
-/// read, so a torn append from a mid-`put` panic is skipped at reindex
-/// time instead of corrupting lookups.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks a service or fleet mutex, recovering from poisoning rather than
+/// propagating a dead holder's panic to every later caller, which would
+/// wedge the whole daemon or router. Each protected value stays usable
+/// after a panic: breaker state, the sender/supervisor options and the
+/// fleet's slots and connection pools are plain data with no mid-update
+/// invariant to tear (the fleet monitor re-derives every worker's state
+/// on its next pass, and the epoch counter fences stale pooled
+/// connections); the job-queue receiver is just a channel endpoint; and
+/// the disk tier validates every record on read, so a torn append from a
+/// mid-`put` panic is skipped at reindex time.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

@@ -5,6 +5,7 @@
 //! shutdown under injected latency, and fault attribution through the
 //! observability surfaces (span log, `/v1/metrics`, `/readyz`).
 
+use batsched_service::http::{call, read_response, write_request};
 use batsched_service::prelude::*;
 use batsched_service::{LogTarget, Service};
 use batsched_taskgraph::paper::g2;
@@ -12,7 +13,7 @@ use batsched_taskgraph::synth::{layered, Rounding, ScalingScheme, TaskParams};
 use batsched_taskgraph::TaskGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::BufReader;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -347,34 +348,15 @@ fn shutdown_under_load_answers_every_accepted_request_exactly_once() {
 
 /// Sends one framed POST over `stream` and reads back (status, body).
 fn http_roundtrip(stream: &mut std::net::TcpStream, path: &str, body: &str) -> (u16, String) {
-    let req = format!(
-        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status code");
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().expect("content length");
-        }
-    }
-    let mut payload = vec![0u8; content_length];
-    reader.read_exact(&mut payload).expect("body");
-    (status, String::from_utf8(payload).expect("utf8 body"))
+    let headers = ["Host: localhost", "Content-Type: application/json"];
+    write_request(stream, "POST", path, &headers, body.as_bytes()).expect("send");
+    let resp = read_response(&mut BufReader::new(&*stream))
+        .expect("a well-framed response")
+        .expect("a response before EOF");
+    (
+        resp.status,
+        String::from_utf8(resp.body).expect("utf8 body"),
+    )
 }
 
 #[test]
@@ -410,20 +392,7 @@ fn http_keepalive_connection_survives_a_worker_panic() {
     assert_eq!(status, 200);
     assert!(body.contains("\"sigma\""), "{body}");
 
-    let (status, stats_body) = {
-        let mut s2 = std::net::TcpStream::connect(addr).expect("connect stats");
-        let req = "GET /v1/stats HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
-        s2.write_all(req.as_bytes()).expect("send stats");
-        let mut raw = String::new();
-        s2.read_to_string(&mut raw).expect("recv stats");
-        let status: u16 = raw
-            .split_whitespace()
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .expect("status");
-        let payload = raw.split_once("\r\n\r\n").expect("split").1.to_string();
-        (status, payload)
-    };
+    let (status, stats_body) = http_get(addr, "/v1/stats");
     assert_eq!(status, 200);
     assert!(stats_body.contains("\"worker_panics\":1"), "{stats_body}");
     assert!(stats_body.contains("\"worker_respawns\":1"), "{stats_body}");
@@ -460,22 +429,11 @@ fn metric(text: &str, sample: &str) -> u64 {
 
 /// One `Connection: close` GET, returning (status, body).
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    let mut s = std::net::TcpStream::connect(addr).expect("connect");
-    let req = format!("GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n");
-    s.write_all(req.as_bytes()).expect("send");
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("recv");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status code");
-    let payload = raw
-        .split_once("\r\n\r\n")
-        .expect("framed response")
-        .1
-        .to_string();
-    (status, payload)
+    let resp = call(addr, "GET", path, b"", Duration::from_secs(30)).expect("a framed response");
+    (
+        resp.status,
+        String::from_utf8(resp.body).expect("utf8 body"),
+    )
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! transitions and the typed `upstream_unavailable` budget.
 
 use batsched_service::fleet::SlotFaults;
+use batsched_service::http::{call, connect, read_response, Response};
 use batsched_service::wire::fnv1a64;
 use batsched_service::{
     home_slot, route, FaultPlane, FaultRule, FaultSite, Fleet, FleetConfig, InProcessLauncher,
@@ -11,8 +12,8 @@ use batsched_service::{
 };
 use batsched_taskgraph::paper::g2;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,67 +125,16 @@ fn body_homing_on(target: usize, size: usize) -> String {
     panic!("no deadline in range homes on slot {target}");
 }
 
-struct Response {
-    status: u16,
-    head: String,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.head.lines().find_map(|l| {
-            let (n, v) = l.split_once(':')?;
-            n.eq_ignore_ascii_case(name).then(|| v.trim())
-        })
-    }
-}
-
 /// One request on a fresh connection; reads the framed response.
 fn post_schedule(addr: SocketAddr, body: &str) -> Response {
     request(addr, "POST", "/v1/schedule", body)
 }
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let raw = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(raw.as_bytes()).expect("send");
-    let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("read head line");
-        assert!(n > 0 || !head.is_empty(), "EOF before any response");
-        if n == 0 || line.trim_end().is_empty() {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable status line: {head:?}"));
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse().expect("numeric Content-Length"))
-        })
-        .expect("response carries Content-Length");
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("read body");
-    Response {
-        status,
-        head,
-        body: String::from_utf8(body).expect("UTF-8 body"),
-    }
+    let resp = call(addr, method, path, body.as_bytes(), Duration::from_secs(30))
+        .expect("a well-framed response");
+    assert!(std::str::from_utf8(&resp.body).is_ok(), "UTF-8 body");
+    resp
 }
 
 fn readyz_status(addr: SocketAddr) -> u16 {
@@ -201,7 +151,7 @@ fn fleet_answers_and_pins_duplicates_to_one_worker() {
     for target in 0..3 {
         let body = body_homing_on(target, 3);
         let cold = post_schedule(addr, &body);
-        assert_eq!(cold.status, 200, "{}", cold.body);
+        assert_eq!(cold.status, 200, "{}", cold.text());
         assert_eq!(
             cold.header("X-Fleet-Worker"),
             Some(target.to_string()).as_deref()
@@ -238,7 +188,7 @@ fn fleet_answers_and_pins_duplicates_to_one_worker() {
 
     let doc = request(addr, "GET", "/v1/fleet", "");
     assert_eq!(doc.status, 200);
-    assert!(doc.body.contains("\"workers\""), "{}", doc.body);
+    assert!(doc.text().contains("\"workers\""), "{}", doc.text());
     fleet.shutdown();
 }
 
@@ -265,10 +215,10 @@ fn mid_body_drop_is_retried_exactly_once_on_a_survivor() {
     // The client sees exactly one complete, correct response: the router
     // absorbs the severed upstream exchange and fails over.
     let resp = post_schedule(addr, &poisoned);
-    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.status, 200, "{}", resp.text());
     let survivor = resp.header("X-Fleet-Worker").expect("worker header");
     assert_ne!(survivor, "0", "answered by a failover worker");
-    assert!(resp.body.contains("\"sigma\""), "{}", resp.body);
+    assert!(resp.text().contains("\"sigma\""), "{}", resp.text());
 
     let status = fleet.status();
     assert_eq!(status.retries, 1, "exactly one failover retry");
@@ -311,7 +261,12 @@ fn stalled_worker_trips_the_breaker_and_is_restarted() {
     // failover, and together they trip the breaker (threshold 2).
     for _ in 0..2 {
         let resp = post_schedule(addr, &body);
-        assert_eq!(resp.status, 200, "failover hides the wedge: {}", resp.body);
+        assert_eq!(
+            resp.status,
+            200,
+            "failover hides the wedge: {}",
+            resp.text()
+        );
         assert_ne!(resp.header("X-Fleet-Worker"), Some("0"));
     }
 
@@ -329,7 +284,7 @@ fn stalled_worker_trips_the_breaker_and_is_restarted() {
 
     // Home routing resumes on the healthy incarnation.
     let resp = post_schedule(addr, &body);
-    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.status, 200, "{}", resp.text());
     assert_eq!(resp.header("X-Fleet-Worker"), Some("0"));
     fleet.shutdown();
 }
@@ -352,7 +307,7 @@ fn killed_worker_loses_no_requests_and_respawns() {
             // Zero loss: every accepted request is answered exactly once —
             // served by a survivor or (never here, with two live workers
             // and budget 2) a typed 503.
-            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert_eq!(resp.status, 200, "{}", resp.text());
             answered += 1;
         }
     }
@@ -378,7 +333,7 @@ fn drain_restarts_one_worker_without_dropping_the_fleet() {
     assert_eq!(readyz_status(addr), 200);
 
     let drained = request(addr, "POST", "/v1/fleet/drain/2", "");
-    assert_eq!(drained.status, 200, "{}", drained.body);
+    assert_eq!(drained.status, 200, "{}", drained.text());
 
     // While worker 2 cycles, /readyz reports the partial fleet…
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -395,7 +350,7 @@ fn drain_restarts_one_worker_without_dropping_the_fleet() {
     }
     // …but requests keep answering: worker 2's slice fails over.
     let resp = post_schedule(addr, &body_homing_on(2, 3));
-    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.status, 200, "{}", resp.text());
     assert_ne!(resp.header("X-Fleet-Worker"), Some("2"));
 
     // The drained worker comes back and readiness recovers.
@@ -411,10 +366,14 @@ fn drain_restarts_one_worker_without_dropping_the_fleet() {
     // Refusals are typed: an out-of-range slot conflicts, a non-numeric
     // one is a bad request.
     let missing = request(addr, "POST", "/v1/fleet/drain/9", "");
-    assert_eq!(missing.status, 409, "{}", missing.body);
-    assert!(missing.body.contains("drain_rejected"), "{}", missing.body);
+    assert_eq!(missing.status, 409, "{}", missing.text());
+    assert!(
+        missing.text().contains("drain_rejected"),
+        "{}",
+        missing.text()
+    );
     let garbled = request(addr, "POST", "/v1/fleet/drain/nope", "");
-    assert_eq!(garbled.status, 400, "{}", garbled.body);
+    assert_eq!(garbled.status, 400, "{}", garbled.text());
     fleet.shutdown();
 }
 
@@ -436,8 +395,12 @@ fn unavailable_is_typed_when_every_worker_is_down() {
     // budget is unspendable, so the client gets the typed 503 — never a
     // dropped or hung connection.
     let resp = post_schedule(addr, &body);
-    assert_eq!(resp.status, 503, "{}", resp.body);
-    assert!(resp.body.contains("upstream_unavailable"), "{}", resp.body);
+    assert_eq!(resp.status, 503, "{}", resp.text());
+    assert!(
+        resp.text().contains("upstream_unavailable"),
+        "{}",
+        resp.text()
+    );
     assert!(fleet.status().unavailable >= 1);
 
     // Health stays answerable throughout, readiness reports the hole.
@@ -450,5 +413,42 @@ fn unavailable_is_typed_when_every_worker_is_down() {
         "fleet must heal after backoff"
     );
     assert_eq!(post_schedule(addr, &body).status, 200);
+    fleet.shutdown();
+}
+
+// ------------------------------------------- framing error, lingering close
+
+#[test]
+fn router_framing_error_closes_cleanly_despite_an_unread_body() {
+    // A malformed head with a large body behind it: the router answers the
+    // typed 400 and must then drain and close, not reset — closing with
+    // unread input makes the kernel send RST, which can destroy the error
+    // response.
+    let fleet = boot(fast_fleet_config(1), None);
+    let stream = connect(fleet.local_addr(), Duration::from_secs(30)).expect("connect");
+    let mut raw =
+        b"POST /v1/schedule HTTP/1.1\r\nHost: localhost\r\nContent-Length: 10, 10\r\n\r\n".to_vec();
+    raw.resize(raw.len() + 256 * 1024, b'x');
+    let mut writer = stream.try_clone().expect("clone");
+    // The router stops reading the request at the bad header, so the body
+    // goes out from its own thread; a write error there is not the test.
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&raw);
+    });
+    let mut reader = BufReader::new(&stream);
+    let resp = read_response(&mut reader)
+        .expect("the typed 400 arrives intact")
+        .expect("a response before EOF");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("bad_http"), "{}", resp.text());
+    assert_eq!(resp.header("Connection"), Some("close"));
+    let mut rest = Vec::new();
+    let end = reader.read_to_end(&mut rest);
+    assert!(
+        end.is_ok(),
+        "the connection must end in a clean EOF, got {end:?}"
+    );
+    assert!(rest.is_empty(), "nothing follows the 400");
+    sender.join().expect("sender thread");
     fleet.shutdown();
 }

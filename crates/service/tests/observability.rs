@@ -4,11 +4,12 @@
 //! exact stage reconciliation, and property tests pinning the log-bucket
 //! histogram to a sorted-vec oracle.
 
+use batsched_service::http::{read_response, write_request, Response};
 use batsched_service::prelude::*;
 use batsched_service::{HistogramSnapshot, LogTarget, Service, BUCKET_BOUNDS_US};
 use batsched_taskgraph::paper::g2;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -25,58 +26,29 @@ fn tmp_file(name: &str) -> std::path::PathBuf {
 }
 
 /// Sends one framed request over `stream` with optional extra header
-/// lines; returns `(status, head, body)`. Keep-alive unless `close`.
+/// lines and reads the response. Keep-alive unless `close`.
 fn roundtrip(
     stream: &mut TcpStream,
     path: &str,
     extra_headers: &[&str],
     body: &str,
     close: bool,
-) -> (u16, String, String) {
-    let connection = if close { "close" } else { "keep-alive" };
-    let extra: String = extra_headers.iter().map(|h| format!("{h}\r\n")).collect();
-    let req = format!(
-        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: {connection}\r\n{extra}\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        assert!(reader.read_line(&mut line).expect("head line") > 0, "eof");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status code");
-    let len: usize = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse().expect("numeric length"))
-        })
-        .expect("Content-Length");
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload).expect("body");
-    (status, head, String::from_utf8(payload).expect("utf8"))
+) -> Response {
+    let connection = format!("Connection: {}", if close { "close" } else { "keep-alive" });
+    let headers = [&["Host: localhost", &connection], extra_headers].concat();
+    write_request(stream, "POST", path, &headers, body.as_bytes()).expect("send");
+    let resp = read_response(&mut BufReader::new(&*stream))
+        .expect("a well-framed response")
+        .expect("eof");
+    assert!(std::str::from_utf8(&resp.body).is_ok(), "utf8");
+    resp
 }
 
-/// Pulls the echoed `X-Request-Id` out of a response head.
-fn request_id(head: &str) -> String {
-    head.lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("x-request-id")
-                .then(|| value.trim().to_string())
-        })
-        .unwrap_or_else(|| panic!("no X-Request-Id in head: {head}"))
+/// The echoed `X-Request-Id` of a response.
+fn request_id(resp: &Response) -> String {
+    resp.header("x-request-id")
+        .unwrap_or_else(|| panic!("no X-Request-Id in head: {}", resp.head))
+        .to_string()
 }
 
 // ------------------------------------------------- trace-id propagation
@@ -88,40 +60,40 @@ fn client_request_ids_are_echoed_even_on_typed_errors() {
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
 
     // A good request: the client's id comes back verbatim.
-    let (status, head, _) = roundtrip(
+    let resp = roundtrip(
         &mut stream,
         "/v1/schedule",
         &["X-Request-Id: client-abc-123"],
         &g2_body(),
         false,
     );
-    assert_eq!(status, 200);
-    assert_eq!(request_id(&head), "client-abc-123");
+    assert_eq!(resp.status, 200);
+    assert_eq!(request_id(&resp), "client-abc-123");
 
     // A malformed request: the typed 400 still carries the client's id.
-    let (status, head, body) = roundtrip(
+    let resp = roundtrip(
         &mut stream,
         "/v1/schedule",
         &["X-Request-Id: client-bad-7"],
         "{ nope",
         false,
     );
-    assert_eq!(status, 400);
-    let err: ErrorResponse = serde_json::from_str(&body).expect("typed error");
+    assert_eq!(resp.status, 400);
+    let err: ErrorResponse = serde_json::from_str(&resp.text()).expect("typed error");
     assert_eq!(err.error, "bad_json");
-    assert_eq!(request_id(&head), "client-bad-7");
+    assert_eq!(request_id(&resp), "client-bad-7");
 
     // An unusable id (embedded whitespace) is ignored, not rejected: the
     // request succeeds under a server-generated id instead.
-    let (status, head, _) = roundtrip(
+    let resp = roundtrip(
         &mut stream,
         "/v1/schedule",
         &["X-Request-Id: has a space"],
         &g2_body(),
         true,
     );
-    assert_eq!(status, 200);
-    let generated = request_id(&head);
+    assert_eq!(resp.status, 200);
+    let generated = request_id(&resp);
     assert_ne!(generated, "has a space");
     assert!(
         generated.contains('-'),
@@ -146,9 +118,9 @@ fn generated_ids_are_unique_across_keepalive_pipelining() {
     let body = g2_body();
     let mut ids = Vec::new();
     for i in 0..8 {
-        let (status, head, _) = roundtrip(&mut stream, "/v1/schedule", &[], &body, i == 7);
-        assert_eq!(status, 200);
-        ids.push(request_id(&head));
+        let resp = roundtrip(&mut stream, "/v1/schedule", &[], &body, i == 7);
+        assert_eq!(resp.status, 200);
+        ids.push(request_id(&resp));
     }
     let unique: std::collections::HashSet<&String> = ids.iter().collect();
     assert_eq!(unique.len(), ids.len(), "duplicate generated ids: {ids:?}");
@@ -180,15 +152,15 @@ fn one_span_per_request_with_exact_stage_reconciliation() {
     let server = HttpServer::bind(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
 
-    let (status, head, _) = roundtrip(
+    let resp = roundtrip(
         &mut stream,
         "/v1/schedule",
         &["X-Request-Id: span-contract-1"],
         &g2_body(),
         true,
     );
-    assert_eq!(status, 200);
-    assert_eq!(request_id(&head), "span-contract-1");
+    assert_eq!(resp.status, 200);
+    assert_eq!(request_id(&resp), "span-contract-1");
 
     drop(stream);
     server.stop();

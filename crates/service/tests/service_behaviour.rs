@@ -3,6 +3,7 @@
 //! malformed-input robustness, backpressure, and the HTTP frontend.
 
 use batsched_core::SolverWorkspace;
+use batsched_service::http::call;
 use batsched_service::prelude::*;
 use batsched_service::wire::{self, ScheduleResponse};
 use batsched_service::Service;
@@ -13,6 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn synth_graph(n_layers: usize, m: usize, seed: u64) -> TaskGraph {
     let params = TaskParams {
@@ -263,28 +265,17 @@ fn full_queue_rejects_with_typed_overload() {
 
 // ----------------------------------------------------------------- HTTP
 
+/// One `Connection: close` request; returns `(status, head, body)`.
 fn http_call(
     addr: std::net::SocketAddr,
     method: &str,
     path: &str,
     body: &str,
 ) -> (u16, String, String) {
-    use std::io::{Read, Write};
-    let mut s = std::net::TcpStream::connect(addr).expect("connect");
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    s.write_all(req.as_bytes()).expect("send");
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("recv");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status code");
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("header/body split");
-    (status, head.to_string(), payload.to_string())
+    let resp = call(addr, method, path, body.as_bytes(), Duration::from_secs(30))
+        .expect("a well-framed response");
+    let payload = String::from_utf8(resp.body).expect("UTF-8 body");
+    (resp.status, resp.head, payload)
 }
 
 #[test]
