@@ -85,8 +85,9 @@ use batsched_service::http::{self, read_response, write_request, Response};
 use batsched_service::wire::DEFAULT_MAX_ITERATIONS;
 use batsched_service::{
     decode_request, decode_response, encode_request, home_slot, parse_request, Disposition,
-    ErrorResponse, FaultPlane, FaultRule, Fleet, FleetConfig, HistogramSnapshot, HttpServer,
-    InProcessLauncher, ModelSpec, ScheduleRequest, ScheduleResponse, Service, ServiceConfig,
+    ErrorResponse, FaultPlane, FaultRule, Fleet, FleetConfig, FleetStatus, HistogramSnapshot,
+    HttpServer, InProcessLauncher, ModelSpec, ScheduleRequest, ScheduleResponse, Service,
+    ServiceConfig, StatsSnapshot,
 };
 use batsched_taskgraph::analysis::{max_makespan, min_makespan};
 use batsched_taskgraph::paper::{g2, g3, G2_TABLE4_DEADLINES, G3_TABLE4_DEADLINES};
@@ -439,18 +440,9 @@ impl HttpClient {
     }
 }
 
-/// Pulls an integer counter out of a stats JSON document.
-fn stats_counter(stats_json: &str, field: &str) -> u64 {
-    let tag = format!("\"{field}\":");
-    let at = stats_json
-        .find(&tag)
-        .unwrap_or_else(|| panic!("stats field {field} missing: {stats_json}"));
-    stats_json[at + tag.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("stats field {field} not an integer: {stats_json}"))
+/// Parses a `/v1/stats` or `/v1/fleet` document into its typed form.
+fn typed<T: serde::Deserialize>(doc: &str) -> T {
+    serde_json::from_str(doc).unwrap_or_else(|e| panic!("document does not parse: {e}: {doc}"))
 }
 
 /// The keep-alive A/B: the duplicate-heavy stream over real HTTP against
@@ -680,15 +672,6 @@ fn metrics_value(text: &str, sample: &str) -> f64 {
         .unwrap_or_else(|| panic!("metric {sample} missing from exposition"))
 }
 
-/// Pulls a boolean field out of a stats JSON document.
-fn stats_flag(stats_json: &str, field: &str) -> bool {
-    let tag = format!("\"{field}\":");
-    let at = stats_json
-        .find(&tag)
-        .unwrap_or_else(|| panic!("stats field {field} missing: {stats_json}"));
-    stats_json[at + tag.len()..].starts_with("true")
-}
-
 /// The canonical chaos fault rules. `ci.sh chaos-smoke` boots a real
 /// daemon with these exact specs (as `--fault` flags), so keep the two
 /// lists in lockstep:
@@ -788,10 +771,8 @@ fn run_chaos(quick: bool, check: bool, addr: Option<&str>) -> ChaosReport {
     for k in 0..200u64 {
         let (code, _, stats) = client.request("GET", "/v1/stats", "", false);
         assert_eq!(code, 200, "stats must stay up under chaos: {stats}");
-        if stats_counter(&stats, "disk_breaker_trips") >= 1
-            && stats_counter(&stats, "disk_rearms") >= 1
-            && !stats_flag(&stats, "disk_degraded")
-        {
+        let stats: StatsSnapshot = typed(&stats);
+        if stats.disk_breaker_trips >= 1 && stats.disk_rearms >= 1 && !stats.disk_degraded {
             recovered = true;
             break;
         }
@@ -809,6 +790,7 @@ fn run_chaos(quick: bool, check: bool, addr: Option<&str>) -> ChaosReport {
 
     let (code, _, stats) = client.request("GET", "/v1/stats", "", false);
     assert_eq!(code, 200);
+    let stats: StatsSnapshot = typed(&stats);
     // The armed fault plane must be visible through BOTH observability
     // surfaces: the stats JSON and the Prometheus exposition.
     let (code, _, metrics) = client.request("GET", "/v1/metrics", "", true);
@@ -821,12 +803,12 @@ fn run_chaos(quick: bool, check: bool, addr: Option<&str>) -> ChaosReport {
         internal_errors: internal,
         unexpected_responses: unexpected,
         recovery_requests: recovery,
-        worker_panics: stats_counter(&stats, "worker_panics"),
-        worker_respawns: stats_counter(&stats, "worker_respawns"),
-        disk_errors: stats_counter(&stats, "disk_errors"),
-        disk_breaker_trips: stats_counter(&stats, "disk_breaker_trips"),
-        disk_rearms: stats_counter(&stats, "disk_rearms"),
-        faults_injected: stats_counter(&stats, "faults_injected"),
+        worker_panics: stats.worker_panics,
+        worker_respawns: stats.worker_respawns,
+        disk_errors: stats.disk_errors,
+        disk_breaker_trips: stats.disk_breaker_trips,
+        disk_rearms: stats.disk_rearms,
+        faults_injected: stats.faults_injected,
         recovered,
     };
     assert_eq!(
@@ -1101,23 +1083,6 @@ fn run_fleet(quick: bool, check: bool) -> FleetReport {
     report
 }
 
-/// Every `u64` value of `field` in a JSON document, in order of
-/// appearance (non-numeric values, e.g. `null` pids, are skipped).
-fn json_u64_all(doc: &str, field: &str) -> Vec<u64> {
-    let tag = format!("\"{field}\":");
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(at) = rest.find(&tag) {
-        let after = &rest[at + tag.len()..];
-        let digits: String = after.chars().take_while(char::is_ascii_digit).collect();
-        if let Ok(v) = digits.parse() {
-            out.push(v);
-        }
-        rest = after;
-    }
-    out
-}
-
 /// The external fleet drill (the `ci.sh fleet-smoke` check) against a
 /// running `batsched fleet` daemon: warm burst with pinned routing, a
 /// real `kill -9` of one worker mid-burst (zero lost requests), respawn
@@ -1142,9 +1107,10 @@ fn run_fleet_smoke(addr: &str) {
 
     let (code, topo) = http_call(addr, "GET", "/v1/fleet", "");
     assert_eq!(code, 200, "{topo}");
-    let size = json_u64_all(&topo, "size")[0] as usize;
+    let fleet: FleetStatus = typed(&topo);
+    let size = fleet.size;
     assert!(size >= 2, "the drill needs at least two workers: {topo}");
-    let pids = json_u64_all(&topo, "pid");
+    let pids: Vec<u32> = fleet.workers.iter().filter_map(|w| w.pid).collect();
     assert_eq!(
         pids.len(),
         size,
@@ -1214,9 +1180,10 @@ fn run_fleet_smoke(addr: &str) {
     loop {
         let (code, topo) = http_call(addr, "GET", "/v1/fleet", "");
         assert_eq!(code, 200, "{topo}");
-        let restarts = json_u64_all(&topo, "restarts");
-        if restarts.get(victim).copied().unwrap_or(0) >= 1 && topo.contains("\"ready\":true") {
-            let new_pids = json_u64_all(&topo, "pid");
+        let fleet: FleetStatus = typed(&topo);
+        let restarts = fleet.workers.get(victim).map_or(0, |w| w.restarts);
+        if restarts >= 1 && fleet.ready {
+            let new_pids: Vec<u32> = fleet.workers.iter().filter_map(|w| w.pid).collect();
             assert_eq!(new_pids.len(), size, "{topo}");
             assert_ne!(
                 new_pids[victim], pids[victim],
@@ -1249,9 +1216,10 @@ fn run_fleet_smoke(addr: &str) {
             saw_not_ready = true;
         }
         let (_, topo) = http_call(addr, "GET", "/v1/fleet", "");
-        if saw_not_ready && code == 200 && topo.contains("\"ready\":true") {
+        let fleet: FleetStatus = typed(&topo);
+        if saw_not_ready && code == 200 && fleet.ready {
             assert!(
-                json_u64_all(&topo, "drains").first().copied().unwrap_or(0) >= 1,
+                fleet.workers.first().map_or(0, |w| w.drains) >= 1,
                 "the drain must be accounted: {topo}"
             );
             break;
@@ -1633,12 +1601,13 @@ fn run_smoke_warm(addr: &str) {
 
     let (code, _, stats) = client.request("GET", "/v1/stats", "", false);
     assert_eq!(code, 200);
+    let typed_stats: StatsSnapshot = typed(&stats);
     assert!(
-        stats_counter(&stats, "disk_hits") >= 1,
+        typed_stats.disk_hits >= 1,
         "stats must attribute the warm answer to the disk tier: {stats}"
     );
     assert!(
-        stats_counter(&stats, "solved") == 0,
+        typed_stats.solved == 0,
         "nothing should have been re-solved: {stats}"
     );
 

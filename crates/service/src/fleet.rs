@@ -48,11 +48,11 @@ use crate::http::{
     self, read_response, spawn_server, write_request, write_response, Next, Request, Response,
     JSON, PROMETHEUS_TEXT,
 };
-use crate::metrics::{render_sample, render_type};
+use crate::metrics::{render_series, Series};
 use crate::service::{lock_recover, Service, ServiceConfig};
 use crate::wire::{self, ErrorResponse};
 use crate::{FaultPlane, HttpServer};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -635,7 +635,7 @@ pub struct Fleet {
 
 /// Point-in-time fleet topology and per-worker counters, served as JSON
 /// by `GET /v1/fleet`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetStatus {
     /// Worker slots (fixed at boot).
     pub size: usize,
@@ -652,7 +652,7 @@ pub struct FleetStatus {
 }
 
 /// One worker's slice of [`FleetStatus`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkerStatus {
     /// Slot index.
     pub id: usize,
@@ -915,58 +915,36 @@ fn status_of(shared: &Arc<FleetShared>) -> FleetStatus {
     }
 }
 
+/// The router's own series, in exposition order.
+#[rustfmt::skip]
+const FLEET_SERIES: [Series<FleetStatus>; 5] = [
+    ("batsched_fleet_size", "gauge", |f| f.size as u64),
+    ("batsched_fleet_ready", "gauge", |f| u64::from(f.ready)),
+    ("batsched_fleet_requests_total", "counter", |f| f.requests),
+    ("batsched_fleet_retries_total", "counter", |f| f.retries),
+    ("batsched_fleet_unavailable_total", "counter", |f| f.unavailable),
+];
+
+/// The per-worker series, each sampled once per slot as `worker="K"`.
+#[rustfmt::skip]
+const WORKER_SERIES: [Series<WorkerStatus>; 5] = [
+    ("batsched_fleet_worker_up", "gauge", |w| u64::from(w.state == "ready")),
+    ("batsched_fleet_worker_inflight", "gauge", |w| w.inflight),
+    ("batsched_fleet_worker_proxied_total", "counter", |w| w.proxied),
+    ("batsched_fleet_worker_upstream_errors_total", "counter", |w| w.upstream_errors),
+    ("batsched_fleet_worker_restarts_total", "counter", |w| w.restarts),
+];
+
 fn metrics_of(shared: &Arc<FleetShared>) -> String {
     let status = status_of(shared);
+    let workers: Vec<(String, &WorkerStatus)> = status
+        .workers
+        .iter()
+        .map(|w| (format!("worker=\"{}\"", w.id), w))
+        .collect();
     let mut out = String::with_capacity(4 * 1024);
-    render_type(&mut out, "batsched_fleet_size", "gauge");
-    render_sample(&mut out, "batsched_fleet_size", "", status.size as u64);
-    render_type(&mut out, "batsched_fleet_ready", "gauge");
-    render_sample(
-        &mut out,
-        "batsched_fleet_ready",
-        "",
-        u64::from(status.ready),
-    );
-    render_type(&mut out, "batsched_fleet_requests_total", "counter");
-    render_sample(
-        &mut out,
-        "batsched_fleet_requests_total",
-        "",
-        status.requests,
-    );
-    render_type(&mut out, "batsched_fleet_retries_total", "counter");
-    render_sample(&mut out, "batsched_fleet_retries_total", "", status.retries);
-    render_type(&mut out, "batsched_fleet_unavailable_total", "counter");
-    render_sample(
-        &mut out,
-        "batsched_fleet_unavailable_total",
-        "",
-        status.unavailable,
-    );
-    type WorkerSeries = (&'static str, &'static str, fn(&WorkerStatus) -> u64);
-    let per_worker: [WorkerSeries; 5] = [
-        ("batsched_fleet_worker_up", "gauge", |w| {
-            u64::from(w.state == "ready")
-        }),
-        ("batsched_fleet_worker_inflight", "gauge", |w| w.inflight),
-        ("batsched_fleet_worker_proxied_total", "counter", |w| {
-            w.proxied
-        }),
-        (
-            "batsched_fleet_worker_upstream_errors_total",
-            "counter",
-            |w| w.upstream_errors,
-        ),
-        ("batsched_fleet_worker_restarts_total", "counter", |w| {
-            w.restarts
-        }),
-    ];
-    for (name, kind, get) in per_worker {
-        render_type(&mut out, name, kind);
-        for w in &status.workers {
-            render_sample(&mut out, name, &format!("worker=\"{}\"", w.id), get(w));
-        }
-    }
+    render_series(&mut out, &FLEET_SERIES, &[(String::new(), &status)]);
+    render_series(&mut out, &WORKER_SERIES, &workers);
     out
 }
 

@@ -16,7 +16,7 @@
 //! * [`cache`] — the memory cache tier: an O(1) intrusive-list LRU,
 //!   sharded across independently locked shards by content-hash bits
 //!   (hit = bit-identical replay);
-//! * [`disk`] — the persistent cache tier: an append-only JSONL file,
+//! * [`disk`] — the persistent cache tier: an append-only record file,
 //!   indexed on start and compacted on shutdown, so a restarted daemon
 //!   answers previously-seen requests warm;
 //! * [`service`] — bounded job queue + worker threads, each with a
@@ -84,7 +84,7 @@ pub mod wire;
 pub mod wire_bin;
 
 pub use cache::{LruCache, ShardedCache};
-pub use disk::{DiskFormat, DiskTier, FsyncPolicy};
+pub use disk::{DiskTier, FsyncPolicy};
 pub use faults::{FaultPlane, FaultRule, FaultSite};
 pub use fleet::{
     home_slot, route, shard_path, Fleet, FleetConfig, FleetConfigError, FleetStartError,
@@ -106,7 +106,7 @@ pub use wire_bin::{decode_request, decode_response, encode_request, encode_respo
 
 /// Convenient glob-import of the types almost every embedder needs.
 pub mod prelude {
-    pub use crate::disk::{DiskFormat, FsyncPolicy};
+    pub use crate::disk::FsyncPolicy;
     pub use crate::faults::{FaultPlane, FaultRule, FaultSite};
     pub use crate::fleet::{Fleet, FleetConfig, InProcessLauncher, ProcessLauncher};
     pub use crate::http::HttpServer;

@@ -1,6 +1,8 @@
 //! Hand-rolled metrics primitives: a fixed-boundary log-bucket latency
 //! histogram with atomic buckets and mergeable snapshots, plus the
-//! Prometheus text-exposition rendering helpers behind `GET /v1/metrics`.
+//! Prometheus text-exposition rendering behind `GET /v1/metrics`: series
+//! tables (`Series` rows read from one snapshot, the daemon's and the
+//! router's alike) and histogram families.
 //!
 //! No external dependencies: the bucket boundaries are a compile-time
 //! 1–2–5 ladder in microseconds (1 µs … 60 s), wide enough that a cache
@@ -188,6 +190,38 @@ impl HistogramSnapshot {
     }
 }
 
+/// One exposition series read from a snapshot `S`: its name (a fixed
+/// label set may follow in braces, e.g. `x{format="json"}`), its kind
+/// (`counter`, `gauge`, `histogram`) and the getter for its value.
+pub(crate) type Series<S> = (&'static str, &'static str, fn(&S) -> u64);
+
+/// Renders `table` over `rows`: for each series, its `# TYPE` line, then
+/// one sample per row with that row's labels (e.g. `worker="K"`; empty
+/// for an unlabelled snapshot). Consecutive series sharing a name (they
+/// differ in their fixed labels) share one `# TYPE` line. Adding a
+/// series to an exposition is adding one row to its table.
+pub(crate) fn render_series<S>(out: &mut String, table: &[Series<S>], rows: &[(String, &S)]) {
+    let mut family = "";
+    for &(series, kind, get) in table {
+        let (name, fixed) = match series.split_once('{') {
+            Some((name, labels)) => (name, labels.trim_end_matches('}')),
+            None => (series, ""),
+        };
+        if name != family {
+            family = name;
+            render_type(out, name, kind);
+        }
+        for (labels, snap) in rows {
+            let sep = if fixed.is_empty() || labels.is_empty() {
+                ""
+            } else {
+                ","
+            };
+            render_sample(out, name, &format!("{fixed}{sep}{labels}"), get(snap));
+        }
+    }
+}
+
 /// Appends one `# TYPE` header line.
 pub(crate) fn render_type(out: &mut String, name: &str, kind: &str) {
     out.push_str("# TYPE ");
@@ -199,7 +233,7 @@ pub(crate) fn render_type(out: &mut String, name: &str, kind: &str) {
 
 /// Appends one `name{labels} value` sample line (`labels` already
 /// rendered, without braces; empty = no label set).
-pub(crate) fn render_sample(out: &mut String, name: &str, labels: &str, value: u64) {
+fn render_sample(out: &mut String, name: &str, labels: &str, value: u64) {
     out.push_str(name);
     if !labels.is_empty() {
         out.push('{');
@@ -328,6 +362,22 @@ mod tests {
         let mut over = HistogramSnapshot::new();
         over.observe(120_000_000);
         assert_eq!(over.quantile(0.5), 60_000_000.0);
+    }
+
+    #[test]
+    fn series_sharing_a_name_share_one_type_line() {
+        let table: [Series<(u64, u64)>; 3] = [
+            ("x_total", "counter", |s| s.0),
+            ("y{kind=\"a\"}", "gauge", |s| s.1),
+            ("y{kind=\"b\"}", "gauge", |s| s.0 + s.1),
+        ];
+        let mut out = String::new();
+        render_series(&mut out, &table, &[(String::new(), &(1, 2))]);
+        assert_eq!(
+            out,
+            "# TYPE x_total counter\nx_total 1\n\
+             # TYPE y gauge\ny{kind=\"a\"} 2\ny{kind=\"b\"} 3\n"
+        );
     }
 
     #[test]

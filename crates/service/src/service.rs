@@ -26,16 +26,16 @@
 //!   cold solve.
 
 use crate::cache::ShardedCache;
-use crate::disk::{DiskFormat, DiskTier, FsyncPolicy};
+use crate::disk::{DiskTier, FsyncPolicy};
 use crate::faults::FaultPlane;
 use crate::logfmt::{Level, LogTarget, SpanLog};
-use crate::metrics::{render_histogram, render_sample, render_type, Histogram};
-use crate::trace::{RequestTrace, Span};
+use crate::metrics::{render_histogram, render_series, render_type, Histogram, Series};
+use crate::trace::{self, RequestTrace, Span};
 use crate::wire::{self, ErrorResponse, ScheduleRequest, ScheduleResponse, WIRE_VERSION};
 use crate::wire_bin::{self, WireFormat};
 use batsched_battery::units::{MilliAmpMinutes, Minutes};
 use batsched_core::{schedule_in, Prof, SolverWorkspace};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,8 +61,6 @@ pub struct ServiceConfig {
     /// Append-only record file backing the disk cache tier; `None` keeps
     /// the cache memory-only (cold after every restart).
     pub disk_path: Option<PathBuf>,
-    /// Record format the disk tier writes (both formats always load).
-    pub disk_format: DiskFormat,
     /// Queue-to-reply deadline; an expired request answers a typed
     /// `timeout` error. `None` (the default) never expires requests.
     pub request_timeout: Option<Duration>,
@@ -102,7 +100,6 @@ impl Default for ServiceConfig {
             cache_capacity: 256,
             cache_shards: 8,
             disk_path: None,
-            disk_format: DiskFormat::default(),
             request_timeout: None,
             fsync_policy: FsyncPolicy::default(),
             disk_breaker_threshold: 3,
@@ -257,81 +254,22 @@ struct Job {
     submitted: Instant,
 }
 
+/// Replies of one outcome and their summed service time.
 #[derive(Debug, Default)]
-struct Counters {
-    received: AtomicU64,
-    binary_requests: AtomicU64,
-    ok_solved: AtomicU64,
-    cache_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    client_errors: AtomicU64,
-    internal_errors: AtomicU64,
-    rejected: AtomicU64,
-    timeouts: AtomicU64,
-    worker_panics: AtomicU64,
-    worker_respawns: AtomicU64,
-    disk_errors: AtomicU64,
-    disk_breaker_trips: AtomicU64,
-    disk_rearms: AtomicU64,
-    solve_nanos: AtomicU64,
-    hit_nanos: AtomicU64,
-    disk_hit_nanos: AtomicU64,
+struct Tally {
+    count: AtomicU64,
+    sum_us: AtomicU64,
 }
 
-/// Aggregated solver phase counters across all requests (the sum of every
-/// per-request [`Prof`] delta), readable without stopping the world.
-#[derive(Debug, Default)]
-struct ProfTotals {
-    windows: AtomicU64,
-    carry_hits: AtomicU64,
-    carry_misses: AtomicU64,
-    rows_full: AtomicU64,
-    rows_carried: AtomicU64,
-    journal_promotions: AtomicU64,
-    journal_rollbacks: AtomicU64,
-    sigma_evals: AtomicU64,
-    sigma_reused: AtomicU64,
-    sigma_fresh: AtomicU64,
-}
-
-impl ProfTotals {
-    fn add(&self, p: &Prof) {
-        self.windows.fetch_add(p.windows, Ordering::Relaxed);
-        self.carry_hits.fetch_add(p.carry_hits, Ordering::Relaxed);
-        self.carry_misses
-            .fetch_add(p.carry_misses, Ordering::Relaxed);
-        self.rows_full.fetch_add(p.rows_full, Ordering::Relaxed);
-        self.rows_carried
-            .fetch_add(p.rows_carried, Ordering::Relaxed);
-        self.journal_promotions
-            .fetch_add(p.journal_promotions, Ordering::Relaxed);
-        self.journal_rollbacks
-            .fetch_add(p.journal_rollbacks, Ordering::Relaxed);
-        self.sigma_evals.fetch_add(p.sigma_evals, Ordering::Relaxed);
-        self.sigma_reused
-            .fetch_add(p.sigma_reused, Ordering::Relaxed);
-        self.sigma_fresh.fetch_add(p.sigma_fresh, Ordering::Relaxed);
-    }
-
-    fn load(&self) -> Prof {
-        let l = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        Prof {
-            windows: l(&self.windows),
-            carry_hits: l(&self.carry_hits),
-            carry_misses: l(&self.carry_misses),
-            rows_full: l(&self.rows_full),
-            rows_carried: l(&self.rows_carried),
-            journal_promotions: l(&self.journal_promotions),
-            journal_rollbacks: l(&self.journal_rollbacks),
-            sigma_evals: l(&self.sigma_evals),
-            sigma_reused: l(&self.sigma_reused),
-            sigma_fresh: l(&self.sigma_fresh),
-        }
-    }
-}
-
-/// The service's latency histograms plus solver phase totals.
+/// The service's counters, outcome tallies, latency histograms and solver
+/// totals, read by [`Service::stats`] (and through it by
+/// [`Service::metrics_text`]).
+///
+/// Outcomes are tallied once per reply, keyed by [`trace::OUTCOMES`]:
+/// workers record every reply they answer (including a caught panic),
+/// the caller records its own `overloaded` and `timeout` replies. A job a
+/// worker sheds after its deadline is not recorded — the caller already
+/// counted it as a timeout.
 ///
 /// Stage histograms are observed once per worker-handled request, for
 /// every stage — a stage that did not run observes 0 µs — so all stage
@@ -341,6 +279,14 @@ impl ProfTotals {
 /// solves (it feeds the solve percentiles in stats).
 #[derive(Debug, Default)]
 struct Metrics {
+    received: AtomicU64,
+    binary_requests: AtomicU64,
+    cache_misses: AtomicU64,
+    worker_panics: AtomicU64,
+    worker_respawns: AtomicU64,
+    outcomes: [Tally; trace::OUTCOMES.len()],
+    /// The sum of every reply's solver profile.
+    prof: Mutex<Prof>,
     total: Histogram,
     read: Histogram,
     write: Histogram,
@@ -352,10 +298,43 @@ struct Metrics {
     solve: Histogram,
     serialize: Histogram,
     solve_cold: Histogram,
-    prof: ProfTotals,
 }
 
 impl Metrics {
+    /// The tally of outcome `label` (one of [`trace::OUTCOMES`]).
+    fn outcome(&self, label: &str) -> Option<&Tally> {
+        let k = trace::OUTCOMES.iter().position(|&o| o == label)?;
+        self.outcomes.get(k)
+    }
+
+    /// Tallies one reply under its outcome.
+    fn record(&self, reply: &Reply) {
+        let label = trace::outcome(reply.disposition, reply.trace.served_from_disk);
+        if let Some(t) = self.outcome(label) {
+            t.count.fetch_add(1, Ordering::Relaxed);
+            t.sum_us.fetch_add(reply.micros, Ordering::Relaxed);
+        }
+    }
+
+    /// `(count, summed µs)` of the replies with outcome `label`.
+    fn tally(&self, label: &str) -> (u64, u64) {
+        self.outcome(label).map_or((0, 0), |t| {
+            let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+            (load(&t.count), load(&t.sum_us))
+        })
+    }
+
+    /// Everything a worker reply feeds: its outcome, its solver profile,
+    /// its stage timings and, for a cold solve, the cold-solve latency.
+    fn observe_reply(&self, reply: &Reply) {
+        self.record(reply);
+        lock_recover(&self.prof).merge(&reply.trace.prof);
+        self.observe_stages(&reply.trace);
+        if reply.disposition == (Disposition::Ok { cached: false }) {
+            self.solve_cold.observe(reply.trace.solve_us);
+        }
+    }
+
     /// One uniform observation of every worker-side stage for a handled
     /// request.
     fn observe_stages(&self, t: &RequestTrace) {
@@ -380,6 +359,12 @@ struct Breaker {
     state: Mutex<BreakerState>,
     /// Mirrors "open" for lock-free stats reads.
     degraded: AtomicBool,
+    /// Disk-tier I/O errors recorded (reads and writes).
+    errors: AtomicU64,
+    /// Times the breaker opened.
+    trips: AtomicU64,
+    /// Times a probe closed it again.
+    rearms: AtomicU64,
 }
 
 /// Locks a service or fleet mutex, recovering from poisoning rather than
@@ -409,6 +394,9 @@ impl Breaker {
             probe_interval,
             state: Mutex::new(BreakerState::default()),
             degraded: AtomicBool::new(false),
+            errors: AtomicU64::new(0),
+            trips: AtomicU64::new(0),
+            rearms: AtomicU64::new(0),
         }
     }
 
@@ -429,25 +417,25 @@ impl Breaker {
 
     /// Records a successful disk operation: resets the error run and, if
     /// the breaker was open, re-arms the tier.
-    fn record_ok(&self, c: &Counters) {
+    fn record_ok(&self) {
         let mut s = lock_recover(&self.state);
         s.consecutive = 0;
         if s.open_since.take().is_some() {
             self.degraded.store(false, Ordering::Relaxed);
-            c.disk_rearms.fetch_add(1, Ordering::Relaxed);
+            self.rearms.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Records a failed disk operation; trips the breaker on the
     /// `threshold`-th consecutive error.
-    fn record_err(&self, c: &Counters) {
-        c.disk_errors.fetch_add(1, Ordering::Relaxed);
+    fn record_err(&self) {
+        self.errors.fetch_add(1, Ordering::Relaxed);
         let mut s = lock_recover(&self.state);
         s.consecutive = s.consecutive.saturating_add(1);
         if s.open_since.is_none() && s.consecutive >= self.threshold {
             s.open_since = Some(Instant::now());
             self.degraded.store(true, Ordering::Relaxed);
-            c.disk_breaker_trips.fetch_add(1, Ordering::Relaxed);
+            self.trips.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -459,7 +447,6 @@ impl Breaker {
 struct Shared {
     cache: ShardedCache,
     disk: Option<Mutex<DiskTier>>,
-    counters: Counters,
     metrics: Metrics,
     logger: Option<SpanLog>,
     breaker: Breaker,
@@ -475,7 +462,7 @@ struct Shared {
 }
 
 /// Point-in-time statistics, served by the `stats` endpoint.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
     /// Wire version.
     pub v: u32,
@@ -555,6 +542,62 @@ pub struct StatsSnapshot {
     /// Cold-solve latency p99 (µs).
     pub solve_p99_us: f64,
 }
+
+/// What `/v1/metrics` renders through [`DAEMON_SERIES`]: the stats
+/// snapshot plus readiness.
+struct Scrape {
+    stats: StatsSnapshot,
+    ready: bool,
+}
+
+/// The daemon's counters and gauges, in exposition order. Every value is
+/// read from the same [`StatsSnapshot`] `/v1/stats` serves.
+#[rustfmt::skip]
+const DAEMON_SERIES: [Series<Scrape>; 26] = [
+    ("batsched_received_total", "counter", |s| s.stats.received),
+    ("batsched_solved_total", "counter", |s| s.stats.solved),
+    ("batsched_cache_hits_total", "counter", |s| s.stats.cache_hits),
+    ("batsched_disk_hits_total", "counter", |s| s.stats.disk_hits),
+    ("batsched_cache_misses_total", "counter", |s| s.stats.cache_misses),
+    ("batsched_client_errors_total", "counter", |s| s.stats.client_errors),
+    ("batsched_internal_errors_total", "counter", |s| s.stats.internal_errors),
+    ("batsched_rejected_total", "counter", |s| s.stats.rejected),
+    ("batsched_timeouts_total", "counter", |s| s.stats.timeouts),
+    ("batsched_worker_panics_total", "counter", |s| s.stats.worker_panics),
+    ("batsched_worker_respawns_total", "counter", |s| s.stats.worker_respawns),
+    ("batsched_disk_errors_total", "counter", |s| s.stats.disk_errors),
+    ("batsched_disk_breaker_trips_total", "counter", |s| s.stats.disk_breaker_trips),
+    ("batsched_disk_rearms_total", "counter", |s| s.stats.disk_rearms),
+    ("batsched_fault_injected_total", "counter", |s| s.stats.faults_injected),
+    ("batsched_spans_dropped_total", "counter", |s| s.stats.spans_dropped),
+    // The wire formats partition admissions: `json` is the remainder.
+    ("batsched_requests_by_format{format=\"json\"}", "counter",
+        |s| s.stats.received.saturating_sub(s.stats.binary_requests)),
+    ("batsched_requests_by_format{format=\"binary\"}", "counter", |s| s.stats.binary_requests),
+    ("batsched_queue_depth", "gauge", |s| s.stats.queue_depth),
+    ("batsched_workers_live", "gauge", |s| s.stats.workers_live),
+    ("batsched_workers_target", "gauge", |s| s.stats.workers as u64),
+    ("batsched_disk_breaker_open", "gauge", |s| u64::from(s.stats.disk_degraded)),
+    ("batsched_cache_entries", "gauge", |s| s.stats.cache_len as u64),
+    ("batsched_cache_capacity", "gauge", |s| s.stats.cache_capacity as u64),
+    ("batsched_disk_entries", "gauge", |s| s.stats.disk_entries as u64),
+    ("batsched_ready", "gauge", |s| u64::from(s.ready)),
+];
+
+/// The solver phase totals (the sum of every reply's [`Prof`]).
+#[rustfmt::skip]
+const SOLVER_SERIES: [Series<Prof>; 10] = [
+    ("batsched_solver_windows_total", "counter", |p| p.windows),
+    ("batsched_solver_carry_hits_total", "counter", |p| p.carry_hits),
+    ("batsched_solver_carry_misses_total", "counter", |p| p.carry_misses),
+    ("batsched_solver_rows_full_total", "counter", |p| p.rows_full),
+    ("batsched_solver_rows_carried_total", "counter", |p| p.rows_carried),
+    ("batsched_solver_journal_promotions_total", "counter", |p| p.journal_promotions),
+    ("batsched_solver_journal_rollbacks_total", "counter", |p| p.journal_rollbacks),
+    ("batsched_solver_sigma_evals_total", "counter", |p| p.sigma_evals),
+    ("batsched_solver_sigma_reused_total", "counter", |p| p.sigma_reused),
+    ("batsched_solver_sigma_fresh_total", "counter", |p| p.sigma_fresh),
+];
 
 /// A running scheduling service. Cheap to share behind an [`Arc`];
 /// [`Service::shutdown`] takes `&self` so any frontend can trigger it.
@@ -696,11 +739,10 @@ impl Service {
         let rx = Arc::new(Mutex::new(rx));
         let disk = match &cfg.disk_path {
             None => None,
-            Some(path) => Some(Mutex::new(DiskTier::open_with_format(
+            Some(path) => Some(Mutex::new(DiskTier::open_with(
                 path,
                 cfg.fsync_policy,
                 faults.clone(),
-                cfg.disk_format,
             )?)),
         };
         let logger = match &cfg.log_json {
@@ -713,7 +755,6 @@ impl Service {
         let shared = Arc::new(Shared {
             cache: ShardedCache::new(cfg.cache_capacity, cfg.cache_shards),
             disk,
-            counters: Counters::default(),
             metrics: Metrics::default(),
             logger,
             breaker: Breaker::new(cfg.disk_breaker_threshold, cfg.disk_probe_interval),
@@ -754,7 +795,7 @@ impl Service {
                                     shared.workers_live.fetch_sub(1, Ordering::Relaxed);
                                 } else {
                                     shared
-                                        .counters
+                                        .metrics
                                         .worker_respawns
                                         .fetch_add(1, Ordering::Relaxed);
                                     handles.push(spawn_worker(next_id, &rx, &shared, &ev_tx));
@@ -826,18 +867,20 @@ impl Service {
         format: WireFormat,
     ) -> Result<Receiver<Reply>, Box<Reply>> {
         let started = Instant::now();
-        let overload = |started: Instant, counters: &Counters| {
-            counters.rejected.fetch_add(1, Ordering::Relaxed);
-            Box::new(Reply {
+        let m = &self.shared.metrics;
+        let overload = || {
+            let reply = Reply {
                 body: ErrorResponse::overloaded(self.cfg.queue_capacity).to_json(),
                 disposition: Disposition::Overloaded,
                 micros: started.elapsed().as_micros() as u64,
                 trace: RequestTrace::default(),
-            })
+            };
+            m.record(&reply);
+            Box::new(reply)
         };
         let guard = lock_recover(&self.tx);
         let Some(tx) = guard.as_ref() else {
-            return Err(overload(started, &self.shared.counters));
+            return Err(overload());
         };
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         match tx.try_send(Job {
@@ -847,22 +890,14 @@ impl Service {
             submitted: started,
         }) {
             Ok(()) => {
-                self.shared
-                    .counters
-                    .received
-                    .fetch_add(1, Ordering::Relaxed);
+                m.received.fetch_add(1, Ordering::Relaxed);
                 if format == WireFormat::Binary {
-                    self.shared
-                        .counters
-                        .binary_requests
-                        .fetch_add(1, Ordering::Relaxed);
+                    m.binary_requests.fetch_add(1, Ordering::Relaxed);
                 }
                 self.shared.in_queue.fetch_add(1, Ordering::Relaxed);
                 Ok(reply_rx)
             }
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                Err(overload(started, &self.shared.counters))
-            }
+            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => Err(overload()),
         }
     }
 
@@ -902,16 +937,14 @@ impl Service {
                 match rx.recv_timeout(remaining) {
                     Ok(reply) => Some(reply),
                     Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        self.shared
-                            .counters
-                            .timeouts
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Reply {
+                        let reply = Reply {
                             body: ErrorResponse::timeout(budget).to_json(),
                             disposition: Disposition::Timeout,
                             micros: started.elapsed().as_micros() as u64,
                             trace: RequestTrace::default(),
                         };
+                        self.shared.metrics.record(&reply);
+                        return reply;
                     }
                     Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => None,
                 }
@@ -966,167 +999,60 @@ impl Service {
     }
 
     /// The full metrics surface in Prometheus text exposition format:
-    /// request counters, queue/worker/breaker gauges, solver phase totals
-    /// and the per-stage latency histograms.
+    /// [`Service::stats`] and readiness through `DAEMON_SERIES`, the
+    /// fleet slot of a fleet worker, the solver phase totals through
+    /// `SOLVER_SERIES`, then the latency histograms.
     pub fn metrics_text(&self) -> String {
-        let c = &self.shared.counters;
         let m = &self.shared.metrics;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let scrape = Scrape {
+            stats: self.stats(),
+            ready: self.readiness().is_ok(),
+        };
         let mut out = String::with_capacity(8 * 1024);
-
-        let counters: [(&str, u64); 16] = [
-            ("batsched_received_total", load(&c.received)),
-            ("batsched_solved_total", load(&c.ok_solved)),
-            ("batsched_cache_hits_total", load(&c.cache_hits)),
-            ("batsched_disk_hits_total", load(&c.disk_hits)),
-            ("batsched_cache_misses_total", load(&c.cache_misses)),
-            ("batsched_client_errors_total", load(&c.client_errors)),
-            ("batsched_internal_errors_total", load(&c.internal_errors)),
-            ("batsched_rejected_total", load(&c.rejected)),
-            ("batsched_timeouts_total", load(&c.timeouts)),
-            ("batsched_worker_panics_total", load(&c.worker_panics)),
-            ("batsched_worker_respawns_total", load(&c.worker_respawns)),
-            ("batsched_disk_errors_total", load(&c.disk_errors)),
-            (
-                "batsched_disk_breaker_trips_total",
-                load(&c.disk_breaker_trips),
-            ),
-            ("batsched_disk_rearms_total", load(&c.disk_rearms)),
-            (
-                "batsched_fault_injected_total",
-                self.shared.faults.injected_total(),
-            ),
-            (
-                "batsched_spans_dropped_total",
-                self.shared.logger.as_ref().map_or(0, SpanLog::dropped),
-            ),
-        ];
-        for (name, value) in counters {
-            render_type(&mut out, name, "counter");
-            render_sample(&mut out, name, "", value);
-        }
-
-        // Requests by wire format: `binary` is counted directly, `json` is
-        // the remainder of `received` (the formats partition admissions).
-        let received = load(&c.received);
-        let binary = load(&c.binary_requests);
-        render_type(&mut out, "batsched_requests_by_format", "counter");
-        render_sample(
-            &mut out,
-            "batsched_requests_by_format",
-            "format=\"json\"",
-            received.saturating_sub(binary),
-        );
-        render_sample(
-            &mut out,
-            "batsched_requests_by_format",
-            "format=\"binary\"",
-            binary,
-        );
-
-        let disk_entries = self
-            .shared
-            .disk
-            .as_ref()
-            .map_or(0, |d| lock_recover(d).len());
-        let gauges: [(&str, u64); 8] = [
-            (
-                "batsched_queue_depth",
-                self.shared.in_queue.load(Ordering::Relaxed),
-            ),
-            (
-                "batsched_workers_live",
-                self.shared.workers_live.load(Ordering::Relaxed),
-            ),
-            ("batsched_workers_target", self.cfg.workers as u64),
-            (
-                "batsched_disk_breaker_open",
-                u64::from(self.shared.breaker.is_open()),
-            ),
-            ("batsched_cache_entries", self.shared.cache.len() as u64),
-            (
-                "batsched_cache_capacity",
-                self.shared.cache.capacity() as u64,
-            ),
-            ("batsched_disk_entries", disk_entries as u64),
-            ("batsched_ready", u64::from(self.readiness().is_ok())),
-        ];
-        for (name, value) in gauges {
-            render_type(&mut out, name, "gauge");
-            render_sample(&mut out, name, "", value);
-        }
+        render_series(&mut out, &DAEMON_SERIES, &[(String::new(), &scrape)]);
         // Only fleet workers export their slot: a standalone daemon has no
         // meaningful value to report, and an absent series is clearer than
         // a sentinel.
         if let Some(id) = self.cfg.fleet_worker {
-            render_type(&mut out, "batsched_fleet_worker_id", "gauge");
-            render_sample(&mut out, "batsched_fleet_worker_id", "", u64::from(id));
+            let slot: Series<u32> = ("batsched_fleet_worker_id", "gauge", |id| u64::from(*id));
+            render_series(&mut out, &[slot], &[(String::new(), &id)]);
         }
+        let prof = *lock_recover(&m.prof);
+        render_series(&mut out, &SOLVER_SERIES, &[(String::new(), &prof)]);
 
-        let prof = m.prof.load();
-        let solver: [(&str, u64); 10] = [
-            ("batsched_solver_windows_total", prof.windows),
-            ("batsched_solver_carry_hits_total", prof.carry_hits),
-            ("batsched_solver_carry_misses_total", prof.carry_misses),
-            ("batsched_solver_rows_full_total", prof.rows_full),
-            ("batsched_solver_rows_carried_total", prof.rows_carried),
-            (
-                "batsched_solver_journal_promotions_total",
-                prof.journal_promotions,
-            ),
-            (
-                "batsched_solver_journal_rollbacks_total",
-                prof.journal_rollbacks,
-            ),
-            ("batsched_solver_sigma_evals_total", prof.sigma_evals),
-            ("batsched_solver_sigma_reused_total", prof.sigma_reused),
-            ("batsched_solver_sigma_fresh_total", prof.sigma_fresh),
+        let histograms: [(&str, &str, &Histogram); 11] = [
+            ("batsched_request_duration_us", "", &m.total),
+            ("batsched_stage_duration_us", "read", &m.read),
+            ("batsched_stage_duration_us", "queue", &m.queue),
+            ("batsched_stage_duration_us", "parse", &m.parse),
+            ("batsched_stage_duration_us", "hash", &m.hash),
+            ("batsched_stage_duration_us", "cache", &m.cache),
+            ("batsched_stage_duration_us", "disk", &m.disk),
+            ("batsched_stage_duration_us", "solve", &m.solve),
+            ("batsched_stage_duration_us", "serialize", &m.serialize),
+            ("batsched_stage_duration_us", "write", &m.write),
+            ("batsched_solve_cold_duration_us", "", &m.solve_cold),
         ];
-        for (name, value) in solver {
-            render_type(&mut out, name, "counter");
-            render_sample(&mut out, name, "", value);
+        let mut family = "";
+        for (name, stage, hist) in histograms {
+            if name != family {
+                family = name;
+                render_type(&mut out, name, "histogram");
+            }
+            let labels = if stage.is_empty() {
+                String::new()
+            } else {
+                format!("stage=\"{stage}\"")
+            };
+            render_histogram(&mut out, name, &labels, &hist.snapshot());
         }
-
-        render_type(&mut out, "batsched_request_duration_us", "histogram");
-        render_histogram(
-            &mut out,
-            "batsched_request_duration_us",
-            "",
-            &m.total.snapshot(),
-        );
-        render_type(&mut out, "batsched_stage_duration_us", "histogram");
-        let stages: [(&str, &Histogram); 9] = [
-            ("read", &m.read),
-            ("queue", &m.queue),
-            ("parse", &m.parse),
-            ("hash", &m.hash),
-            ("cache", &m.cache),
-            ("disk", &m.disk),
-            ("solve", &m.solve),
-            ("serialize", &m.serialize),
-            ("write", &m.write),
-        ];
-        for (stage, hist) in stages {
-            render_histogram(
-                &mut out,
-                "batsched_stage_duration_us",
-                &format!("stage=\"{stage}\""),
-                &hist.snapshot(),
-            );
-        }
-        render_type(&mut out, "batsched_solve_cold_duration_us", "histogram");
-        render_histogram(
-            &mut out,
-            "batsched_solve_cold_duration_us",
-            "",
-            &m.solve_cold.snapshot(),
-        );
         out
     }
 
     /// A consistent-enough point-in-time statistics snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        let c = &self.shared.counters;
+        let m = &self.shared.metrics;
+        let breaker = &self.shared.breaker;
         let shard_occupancy = self.shared.cache.occupancy();
         let disk_entries = self
             .shared
@@ -1134,18 +1060,18 @@ impl Service {
             .as_ref()
             .map_or(0, |d| lock_recover(d).len());
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mean_us = |nanos: u64, count: u64| {
+        let mean_us = |(count, sum_us): (u64, u64)| {
             if count == 0 {
                 0.0
             } else {
-                nanos as f64 / count as f64 / 1_000.0
+                sum_us as f64 / count as f64
             }
         };
-        let solved = load(&c.ok_solved);
-        let hits = load(&c.cache_hits);
-        let disk_hits = load(&c.disk_hits);
-        let e2e = self.shared.metrics.total.snapshot();
-        let solve_cold = self.shared.metrics.solve_cold.snapshot();
+        let solved = m.tally("solved");
+        let hits = m.tally("hit");
+        let disk_hits = m.tally("disk_hit");
+        let e2e = m.total.snapshot();
+        let solve_cold = m.solve_cold.snapshot();
         StatsSnapshot {
             v: WIRE_VERSION,
             workers: self.cfg.workers,
@@ -1155,28 +1081,28 @@ impl Service {
             cache_shards: self.shared.cache.shard_count(),
             shard_occupancy,
             disk_enabled: self.shared.disk.is_some(),
-            disk_degraded: self.shared.breaker.is_open(),
+            disk_degraded: breaker.is_open(),
             disk_entries,
-            received: load(&c.received),
-            binary_requests: load(&c.binary_requests),
-            solved,
-            cache_hits: hits,
-            disk_hits,
-            cache_misses: load(&c.cache_misses),
-            client_errors: load(&c.client_errors),
-            internal_errors: load(&c.internal_errors),
-            rejected: load(&c.rejected),
-            timeouts: load(&c.timeouts),
-            worker_panics: load(&c.worker_panics),
-            worker_respawns: load(&c.worker_respawns),
-            disk_errors: load(&c.disk_errors),
-            disk_breaker_trips: load(&c.disk_breaker_trips),
-            disk_rearms: load(&c.disk_rearms),
-            solve_mean_us: mean_us(load(&c.solve_nanos), solved),
-            hit_mean_us: mean_us(load(&c.hit_nanos), hits),
-            disk_hit_mean_us: mean_us(load(&c.disk_hit_nanos), disk_hits),
-            queue_depth: self.shared.in_queue.load(Ordering::Relaxed),
-            workers_live: self.shared.workers_live.load(Ordering::Relaxed),
+            received: load(&m.received),
+            binary_requests: load(&m.binary_requests),
+            solved: solved.0,
+            cache_hits: hits.0,
+            disk_hits: disk_hits.0,
+            cache_misses: load(&m.cache_misses),
+            client_errors: m.tally("client_error").0,
+            internal_errors: m.tally("internal").0,
+            rejected: m.tally("overloaded").0,
+            timeouts: m.tally("timeout").0,
+            worker_panics: load(&m.worker_panics),
+            worker_respawns: load(&m.worker_respawns),
+            disk_errors: load(&breaker.errors),
+            disk_breaker_trips: load(&breaker.trips),
+            disk_rearms: load(&breaker.rearms),
+            solve_mean_us: mean_us(solved),
+            hit_mean_us: mean_us(hits),
+            disk_hit_mean_us: mean_us(disk_hits),
+            queue_depth: load(&self.shared.in_queue),
+            workers_live: load(&self.shared.workers_live),
             faults_injected: self.shared.faults.injected_total(),
             spans_dropped: self.shared.logger.as_ref().map_or(0, SpanLog::dropped),
             e2e_p50_us: e2e.quantile(0.50),
@@ -1288,17 +1214,11 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
                 reply.trace.queue_us = queue_us;
                 reply.trace.worker = worker;
                 reply.trace.prof = ws.prof().since(&prof_before);
-                shared.metrics.prof.add(&reply.trace.prof);
-                shared.metrics.observe_stages(&reply.trace);
-                if reply.disposition == (Disposition::Ok { cached: false }) {
-                    shared.metrics.solve_cold.observe(reply.trace.solve_us);
-                }
+                shared.metrics.observe_reply(&reply);
                 let _ = job.reply.send(reply); // caller may have given up; fine
             }
             Err(payload) => {
-                let c = &shared.counters;
-                c.worker_panics.fetch_add(1, Ordering::Relaxed);
-                c.internal_errors.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
                 let body = ErrorResponse::new(
                     "internal",
                     format!(
@@ -1311,19 +1231,19 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
                 // what the worker still knows. `injected` approximates
                 // fault-plane involvement: an armed plane is by far the
                 // most likely panic source in this codebase.
-                let trace = RequestTrace {
-                    queue_us,
-                    worker,
-                    injected: shared.faults.is_armed(),
-                    ..RequestTrace::default()
-                };
-                shared.metrics.observe_stages(&trace);
-                let _ = job.reply.send(Reply {
+                let reply = Reply {
                     body,
                     disposition: Disposition::Internal,
                     micros: job.submitted.elapsed().as_micros() as u64,
-                    trace,
-                });
+                    trace: RequestTrace {
+                        queue_us,
+                        worker,
+                        injected: shared.faults.is_armed(),
+                        ..RequestTrace::default()
+                    },
+                };
+                shared.metrics.observe_reply(&reply);
+                let _ = job.reply.send(reply);
                 return false;
             }
         }
@@ -1337,7 +1257,6 @@ fn answer(
     ws: &mut SolverWorkspace,
     submitted: Instant,
 ) -> Reply {
-    let c = &shared.counters;
     let finish = |disposition: Disposition, body: String, trace: RequestTrace| Reply {
         micros: submitted.elapsed().as_micros() as u64,
         body,
@@ -1372,9 +1291,6 @@ fn answer(
     let alias_hit = shared.cache.get_by_alias(raw_key, body);
     trace.cache_us += us(t);
     if let Some(cached) = alias_hit {
-        c.cache_hits.fetch_add(1, Ordering::Relaxed);
-        c.hit_nanos
-            .fetch_add(submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
         return finish(Disposition::Ok { cached: true }, cached, trace);
     }
     // Admission: JSON parses then hashes in a separate (streaming) pass;
@@ -1392,7 +1308,6 @@ fn answer(
             let req = match parsed {
                 Ok(req) => req,
                 Err(e) => {
-                    c.client_errors.fetch_add(1, Ordering::Relaxed);
                     return finish(
                         Disposition::ClientError,
                         ErrorResponse::from_wire(&e).to_json(),
@@ -1412,7 +1327,6 @@ fn answer(
             match decoded {
                 Ok(pair) => pair,
                 Err(e) => {
-                    c.client_errors.fetch_add(1, Ordering::Relaxed);
                     return finish(
                         Disposition::ClientError,
                         ErrorResponse::from_wire(&e).to_json(),
@@ -1429,9 +1343,6 @@ fn answer(
         // Different spelling, same canonical question: remember this
         // spelling so its next occurrence takes the fast path.
         shared.cache.alias(raw_key, body, key);
-        c.cache_hits.fetch_add(1, Ordering::Relaxed);
-        c.hit_nanos
-            .fetch_add(submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
         return finish(Disposition::Ok { cached: true }, cached, trace);
     }
     // One breaker decision covers this request's disk read and (on a cold
@@ -1448,12 +1359,9 @@ fn answer(
         trace.disk_us += us(t);
         match persisted {
             Ok(Some(cached)) => {
-                shared.breaker.record_ok(c);
+                shared.breaker.record_ok();
                 shared.cache.insert(key, cached.clone());
                 shared.cache.alias(raw_key, body, key);
-                c.disk_hits.fetch_add(1, Ordering::Relaxed);
-                c.disk_hit_nanos
-                    .fetch_add(submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 trace.served_from_disk = true;
                 return finish(Disposition::Ok { cached: true }, cached, trace);
             }
@@ -1461,7 +1369,7 @@ fn answer(
             // disk's health: neutral for the breaker.
             Ok(None) => {}
             Err(e) => {
-                shared.breaker.record_err(c);
+                shared.breaker.record_err();
                 // The error may be organic or injected; with an armed
                 // plane, flag the request as fault-involved.
                 trace.injected |= shared.faults.is_armed();
@@ -1469,7 +1377,7 @@ fn answer(
             }
         }
     }
-    c.cache_misses.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
     if shared.faults.is_armed() && shared.faults.solver_panic(body_text_for_faults()) {
         // lint:allow(panic-path): fault injection by design — this panic is
         // the test stimulus for the catch_unwind isolation boundary below.
@@ -1494,25 +1402,20 @@ fn answer(
                 let appended = lock_recover(disk).put(key, &rendered);
                 trace.disk_us += us(t);
                 match appended {
-                    Ok(()) => shared.breaker.record_ok(c),
+                    Ok(()) => shared.breaker.record_ok(),
                     Err(e) => {
-                        shared.breaker.record_err(c);
+                        shared.breaker.record_err();
                         trace.injected |= shared.faults.is_armed();
                         eprintln!("batsched-service: disk-cache append failed: {e}");
                     }
                 }
             }
-            c.ok_solved.fetch_add(1, Ordering::Relaxed);
-            c.solve_nanos
-                .fetch_add(submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
             finish(Disposition::Ok { cached: false }, rendered, trace)
         }
         Err(err) => {
             let disposition = if err.error == "internal" {
-                c.internal_errors.fetch_add(1, Ordering::Relaxed);
                 Disposition::Internal
             } else {
-                c.client_errors.fetch_add(1, Ordering::Relaxed);
                 Disposition::ClientError
             };
             finish(disposition, err.to_json(), trace)

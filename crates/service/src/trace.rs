@@ -59,8 +59,18 @@ pub struct RequestTrace {
     pub prof: Prof,
 }
 
-/// The outcome label for a reply: `hit`, `disk_hit`, `solved`,
-/// `client_error`, `overloaded`, `timeout` or `internal`.
+/// Every outcome label [`outcome`] returns.
+pub const OUTCOMES: [&str; 7] = [
+    "hit",
+    "disk_hit",
+    "solved",
+    "client_error",
+    "overloaded",
+    "timeout",
+    "internal",
+];
+
+/// The outcome label for a reply: one of [`OUTCOMES`].
 pub fn outcome(disposition: Disposition, served_from_disk: bool) -> &'static str {
     match disposition {
         Disposition::Ok { cached: true } => {
@@ -262,11 +272,18 @@ mod tests {
 
     #[test]
     fn outcome_labels() {
-        assert_eq!(outcome(Disposition::Ok { cached: true }, false), "hit");
-        assert_eq!(outcome(Disposition::Ok { cached: true }, true), "disk_hit");
-        assert_eq!(outcome(Disposition::Ok { cached: false }, false), "solved");
-        assert_eq!(outcome(Disposition::Timeout, false), "timeout");
-        assert_eq!(outcome(Disposition::Internal, false), "internal");
+        // One label per disposition, listed once each in `OUTCOMES` (the
+        // service keys its per-outcome tallies by it).
+        let all = [
+            outcome(Disposition::Ok { cached: true }, false),
+            outcome(Disposition::Ok { cached: true }, true),
+            outcome(Disposition::Ok { cached: false }, false),
+            outcome(Disposition::ClientError, false),
+            outcome(Disposition::Overloaded, false),
+            outcome(Disposition::Timeout, false),
+            outcome(Disposition::Internal, false),
+        ];
+        assert_eq!(all, OUTCOMES);
     }
 
     #[test]

@@ -192,6 +192,25 @@ fn fleet_answers_and_pins_duplicates_to_one_worker() {
     fleet.shutdown();
 }
 
+/// A megabyte of `[` is a typed 400 from the worker it homes on: the
+/// router passes it through, nothing is retried and no worker restarts.
+#[test]
+fn deeply_nested_json_is_a_typed_400_and_kills_no_worker() {
+    let fleet = boot(fast_fleet_config(3), None);
+    let addr = fleet.local_addr();
+    let resp = post_schedule(addr, &"[".repeat(1 << 20));
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("bad_json"), "{}", resp.text());
+    for target in 0..3 {
+        assert_eq!(post_schedule(addr, &body_homing_on(target, 3)).status, 200);
+    }
+    let status = fleet.status();
+    assert!(status.ready);
+    assert_eq!(status.retries, 0);
+    assert!(status.workers.iter().all(|w| w.restarts == 0), "{status:?}");
+    fleet.shutdown();
+}
+
 // ------------------------------------------- exactly-once under drop
 
 #[test]

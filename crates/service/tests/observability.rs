@@ -249,6 +249,383 @@ fn jsonl_frontend_spans_one_line_per_request() {
     std::fs::remove_file(&span_path).unwrap();
 }
 
+// ------------------------------------------------ exposition pinning
+
+/// The `# TYPE` lines of an exposition, in order, as `(name, kind)`.
+fn type_lines(text: &str) -> Vec<(String, String)> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|l| {
+            let (name, kind) = l.split_once(' ').expect("`# TYPE name kind`");
+            (name.to_string(), kind.to_string())
+        })
+        .collect()
+}
+
+/// The value of the sample line `series` (name plus its `{labels}`, if
+/// any) in an exposition.
+fn sample(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no sample `{series}` in:\n{text}"))
+        .parse()
+        .unwrap_or_else(|e| panic!("`{series}` is not an integer: {e}"))
+}
+
+/// The label sets a series is sampled with, in order.
+fn label_sets(text: &str, name: &str) -> Vec<String> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix(name)?.strip_prefix('{'))
+        .map(|l| l.split_once('}').expect("closed label set").0.to_string())
+        .collect()
+}
+
+fn owned(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+    pairs
+        .iter()
+        .map(|(n, k)| (n.to_string(), k.to_string()))
+        .collect()
+}
+
+/// The daemon's series, in exposition order (a fleet worker adds
+/// `batsched_fleet_worker_id` after `batsched_ready`).
+const DAEMON_TYPES: [(&str, &str); 38] = [
+    ("batsched_received_total", "counter"),
+    ("batsched_solved_total", "counter"),
+    ("batsched_cache_hits_total", "counter"),
+    ("batsched_disk_hits_total", "counter"),
+    ("batsched_cache_misses_total", "counter"),
+    ("batsched_client_errors_total", "counter"),
+    ("batsched_internal_errors_total", "counter"),
+    ("batsched_rejected_total", "counter"),
+    ("batsched_timeouts_total", "counter"),
+    ("batsched_worker_panics_total", "counter"),
+    ("batsched_worker_respawns_total", "counter"),
+    ("batsched_disk_errors_total", "counter"),
+    ("batsched_disk_breaker_trips_total", "counter"),
+    ("batsched_disk_rearms_total", "counter"),
+    ("batsched_fault_injected_total", "counter"),
+    ("batsched_spans_dropped_total", "counter"),
+    ("batsched_requests_by_format", "counter"),
+    ("batsched_queue_depth", "gauge"),
+    ("batsched_workers_live", "gauge"),
+    ("batsched_workers_target", "gauge"),
+    ("batsched_disk_breaker_open", "gauge"),
+    ("batsched_cache_entries", "gauge"),
+    ("batsched_cache_capacity", "gauge"),
+    ("batsched_disk_entries", "gauge"),
+    ("batsched_ready", "gauge"),
+    ("batsched_solver_windows_total", "counter"),
+    ("batsched_solver_carry_hits_total", "counter"),
+    ("batsched_solver_carry_misses_total", "counter"),
+    ("batsched_solver_rows_full_total", "counter"),
+    ("batsched_solver_rows_carried_total", "counter"),
+    ("batsched_solver_journal_promotions_total", "counter"),
+    ("batsched_solver_journal_rollbacks_total", "counter"),
+    ("batsched_solver_sigma_evals_total", "counter"),
+    ("batsched_solver_sigma_reused_total", "counter"),
+    ("batsched_solver_sigma_fresh_total", "counter"),
+    ("batsched_request_duration_us", "histogram"),
+    ("batsched_stage_duration_us", "histogram"),
+    ("batsched_solve_cold_duration_us", "histogram"),
+];
+
+/// The `/v1/stats` keys, in document order.
+const STATS_KEYS: [&str; 38] = [
+    "v",
+    "workers",
+    "queue_capacity",
+    "cache_capacity",
+    "cache_len",
+    "cache_shards",
+    "shard_occupancy",
+    "disk_enabled",
+    "disk_degraded",
+    "disk_entries",
+    "received",
+    "binary_requests",
+    "solved",
+    "cache_hits",
+    "disk_hits",
+    "cache_misses",
+    "client_errors",
+    "internal_errors",
+    "rejected",
+    "timeouts",
+    "worker_panics",
+    "worker_respawns",
+    "disk_errors",
+    "disk_breaker_trips",
+    "disk_rearms",
+    "solve_mean_us",
+    "hit_mean_us",
+    "disk_hit_mean_us",
+    "queue_depth",
+    "workers_live",
+    "faults_injected",
+    "spans_dropped",
+    "e2e_p50_us",
+    "e2e_p95_us",
+    "e2e_p99_us",
+    "solve_p50_us",
+    "solve_p95_us",
+    "solve_p99_us",
+];
+
+/// Drives a fixed traffic mix through an in-process daemon — cold JSON,
+/// cold binary, a memory hit, a disk hit after a restart, malformed JSON
+/// and malformed binary — and pins both expositions: the `/v1/metrics`
+/// series order and values, and the `/v1/stats` keys and their agreement
+/// with the `_total` series.
+#[test]
+fn daemon_expositions_are_pinned_for_a_fixed_traffic_mix() {
+    let path = tmp_file("pinned_exposition");
+    let cfg = ServiceConfig {
+        disk_path: Some(path.clone()),
+        ..ServiceConfig::default()
+    };
+    let g3_body = serde_json::to_string(&ScheduleRequest::new(
+        batsched_taskgraph::paper::g3(),
+        230.0,
+    ))
+    .expect("serialises");
+    let first = Service::try_start(cfg.clone()).expect("start");
+    let seeded = first.call(g3_body.clone());
+    assert_eq!(seeded.disposition, Disposition::Ok { cached: false });
+    first.shutdown();
+
+    let svc = Service::try_start(cfg).expect("restart");
+    let replies = [
+        (svc.call(g2_body()), Disposition::Ok { cached: false }),
+        (
+            svc.call_bytes(
+                encode_request(&ScheduleRequest::new(g2(), 80.0)),
+                WireFormat::Binary,
+            ),
+            Disposition::Ok { cached: false },
+        ),
+        (svc.call(g2_body()), Disposition::Ok { cached: true }),
+        (svc.call(g3_body), Disposition::Ok { cached: true }),
+        (svc.call("{ nope".into()), Disposition::ClientError),
+        (
+            svc.call_bytes(b"\x00not a request".to_vec(), WireFormat::Binary),
+            Disposition::ClientError,
+        ),
+    ];
+    for (k, (reply, expected)) in replies.iter().enumerate() {
+        assert_eq!(reply.disposition, *expected, "reply {k}: {}", reply.body);
+    }
+    assert!(
+        replies[3].0.trace.served_from_disk,
+        "the g3 replay is a disk hit"
+    );
+
+    let text = svc.metrics_text();
+    assert_eq!(type_lines(&text), owned(&DAEMON_TYPES), "{text}");
+
+    let counters = [
+        ("batsched_received_total", 6),
+        ("batsched_solved_total", 2),
+        ("batsched_cache_hits_total", 1),
+        ("batsched_disk_hits_total", 1),
+        ("batsched_cache_misses_total", 2),
+        ("batsched_client_errors_total", 2),
+        ("batsched_internal_errors_total", 0),
+        ("batsched_rejected_total", 0),
+        ("batsched_timeouts_total", 0),
+        ("batsched_worker_panics_total", 0),
+        ("batsched_worker_respawns_total", 0),
+        ("batsched_disk_errors_total", 0),
+        ("batsched_disk_breaker_trips_total", 0),
+        ("batsched_disk_rearms_total", 0),
+        ("batsched_fault_injected_total", 0),
+        ("batsched_spans_dropped_total", 0),
+        ("batsched_requests_by_format{format=\"json\"}", 4),
+        ("batsched_requests_by_format{format=\"binary\"}", 2),
+        ("batsched_queue_depth", 0),
+        ("batsched_workers_live", 2),
+        ("batsched_workers_target", 2),
+        ("batsched_disk_breaker_open", 0),
+        ("batsched_cache_entries", 3),
+        ("batsched_cache_capacity", 256),
+        ("batsched_disk_entries", 3),
+        ("batsched_ready", 1),
+    ];
+    for (series, value) in counters {
+        assert_eq!(sample(&text, series), value, "{series}");
+    }
+
+    // Every histogram's `_count`: `total` once per call, the worker
+    // stages once per worker-handled request, the connection stages
+    // never (no HTTP frontend), the cold-solve histogram per cold solve.
+    assert_eq!(sample(&text, "batsched_request_duration_us_count"), 6);
+    for (stage, count) in [
+        ("read", 0),
+        ("queue", 6),
+        ("parse", 6),
+        ("hash", 6),
+        ("cache", 6),
+        ("disk", 6),
+        ("solve", 6),
+        ("serialize", 6),
+        ("write", 0),
+    ] {
+        let series = format!("batsched_stage_duration_us_count{{stage=\"{stage}\"}}");
+        assert_eq!(sample(&text, &series), count, "{series}");
+    }
+    assert_eq!(sample(&text, "batsched_solve_cold_duration_us_count"), 2);
+
+    // The solver totals are exactly the sum of the replies' profiles.
+    let mut prof = batsched_core::Prof::default();
+    for (reply, _) in &replies {
+        prof.merge(&reply.trace.prof);
+    }
+    assert!(prof.windows > 0, "the cold solves swept windows");
+    for (name, value) in [
+        ("windows", prof.windows),
+        ("carry_hits", prof.carry_hits),
+        ("carry_misses", prof.carry_misses),
+        ("rows_full", prof.rows_full),
+        ("rows_carried", prof.rows_carried),
+        ("journal_promotions", prof.journal_promotions),
+        ("journal_rollbacks", prof.journal_rollbacks),
+        ("sigma_evals", prof.sigma_evals),
+        ("sigma_reused", prof.sigma_reused),
+        ("sigma_fresh", prof.sigma_fresh),
+    ] {
+        let series = format!("batsched_solver_{name}_total");
+        assert_eq!(sample(&text, &series), value, "{series}");
+    }
+
+    // `/v1/stats` agrees with its `/v1/metrics` twins.
+    let stats = svc.stats();
+    for (series, value) in [
+        ("batsched_received_total", stats.received),
+        ("batsched_solved_total", stats.solved),
+        ("batsched_cache_hits_total", stats.cache_hits),
+        ("batsched_disk_hits_total", stats.disk_hits),
+        ("batsched_cache_misses_total", stats.cache_misses),
+        ("batsched_client_errors_total", stats.client_errors),
+        ("batsched_internal_errors_total", stats.internal_errors),
+        ("batsched_rejected_total", stats.rejected),
+        ("batsched_timeouts_total", stats.timeouts),
+        ("batsched_worker_panics_total", stats.worker_panics),
+        ("batsched_worker_respawns_total", stats.worker_respawns),
+        ("batsched_disk_errors_total", stats.disk_errors),
+        (
+            "batsched_disk_breaker_trips_total",
+            stats.disk_breaker_trips,
+        ),
+        ("batsched_disk_rearms_total", stats.disk_rearms),
+        ("batsched_fault_injected_total", stats.faults_injected),
+        ("batsched_spans_dropped_total", stats.spans_dropped),
+        (
+            "batsched_requests_by_format{format=\"binary\"}",
+            stats.binary_requests,
+        ),
+        ("batsched_queue_depth", stats.queue_depth),
+        ("batsched_workers_live", stats.workers_live),
+        ("batsched_workers_target", stats.workers as u64),
+        ("batsched_disk_breaker_open", u64::from(stats.disk_degraded)),
+        ("batsched_cache_entries", stats.cache_len as u64),
+        ("batsched_cache_capacity", stats.cache_capacity as u64),
+        ("batsched_disk_entries", stats.disk_entries as u64),
+    ] {
+        assert_eq!(sample(&text, series), value, "{series}");
+    }
+    assert!(stats.solve_mean_us > 0.0, "a cold solve takes real time");
+
+    let doc = serde::json::parse(&svc.stats_json()).expect("stats JSON parses");
+    let keys: Vec<&str> = doc
+        .as_obj()
+        .expect("stats is an object")
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(keys, STATS_KEYS);
+
+    svc.shutdown();
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// The router's exposition: its series in order, each per-worker series
+/// sampled once per slot; a fleet worker's own exposition adds its slot
+/// gauge after `batsched_ready`.
+#[test]
+fn fleet_exposition_is_pinned() {
+    let launcher = InProcessLauncher::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let fleet = Fleet::start(
+        FleetConfig {
+            size: 2,
+            ..FleetConfig::default()
+        },
+        Box::new(launcher),
+        "127.0.0.1:0",
+    )
+    .expect("fleet starts");
+    assert!(fleet.wait_ready(std::time::Duration::from_secs(20)));
+
+    let text = fleet.metrics_text();
+    let per_worker = [
+        ("batsched_fleet_worker_up", "gauge"),
+        ("batsched_fleet_worker_inflight", "gauge"),
+        ("batsched_fleet_worker_proxied_total", "counter"),
+        ("batsched_fleet_worker_upstream_errors_total", "counter"),
+        ("batsched_fleet_worker_restarts_total", "counter"),
+    ];
+    let mut expected = vec![
+        ("batsched_fleet_size", "gauge"),
+        ("batsched_fleet_ready", "gauge"),
+        ("batsched_fleet_requests_total", "counter"),
+        ("batsched_fleet_retries_total", "counter"),
+        ("batsched_fleet_unavailable_total", "counter"),
+    ];
+    expected.extend(per_worker);
+    assert_eq!(type_lines(&text), owned(&expected), "{text}");
+    assert_eq!(sample(&text, "batsched_fleet_size"), 2);
+    assert_eq!(sample(&text, "batsched_fleet_ready"), 1);
+    for (name, _) in per_worker {
+        assert_eq!(
+            label_sets(&text, name),
+            ["worker=\"0\"", "worker=\"1\""],
+            "{name}"
+        );
+    }
+    for k in 0..2 {
+        let up = format!("batsched_fleet_worker_up{{worker=\"{k}\"}}");
+        assert_eq!(sample(&text, &up), 1, "{up}");
+    }
+
+    let status = fleet.status();
+    let addr = status.workers[1]
+        .addr
+        .as_deref()
+        .expect("a ready worker has an address")
+        .parse()
+        .expect("a socket address");
+    let worker = batsched_service::http::call(
+        addr,
+        "GET",
+        "/v1/metrics",
+        b"",
+        std::time::Duration::from_secs(10),
+    )
+    .expect("worker metrics");
+    let worker_text = worker.text();
+    let mut expected = DAEMON_TYPES.to_vec();
+    let ready = expected
+        .iter()
+        .position(|(n, _)| *n == "batsched_ready")
+        .expect("batsched_ready");
+    expected.insert(ready + 1, ("batsched_fleet_worker_id", "gauge"));
+    assert_eq!(type_lines(&worker_text), owned(&expected), "{worker_text}");
+    assert_eq!(sample(&worker_text, "batsched_fleet_worker_id"), 1);
+    fleet.shutdown();
+}
+
 // ---------------------------------------------- histogram vs oracle props
 
 /// Bucket bounds `[lower, upper]` containing the value `v` (upper is

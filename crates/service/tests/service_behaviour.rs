@@ -229,6 +229,23 @@ fn malformed_stream_yields_typed_errors_never_panics() {
     svc.shutdown();
 }
 
+/// A megabyte of `[` — far under the body cap — used to recurse once per
+/// byte in the JSON parser and overflow the worker's stack, aborting the
+/// daemon. The nesting cap turns it into a typed `bad_json`, and the same
+/// service answers the next request.
+#[test]
+fn deeply_nested_json_is_a_typed_error_not_a_crash() {
+    let svc = Service::start(ServiceConfig::default());
+    let reply = svc.call("[".repeat(1 << 20));
+    assert_eq!(reply.disposition, Disposition::ClientError);
+    let err: ErrorResponse = serde_json::from_str(&reply.body).expect("typed error body");
+    assert_eq!(err.error, "bad_json", "{}", reply.body);
+    let fine = svc.call(body_of(&request_for(&g2(), 75.0)));
+    assert!(matches!(fine.disposition, Disposition::Ok { .. }));
+    assert_eq!(svc.stats().worker_panics, 0);
+    svc.shutdown();
+}
+
 #[test]
 fn full_queue_rejects_with_typed_overload() {
     let svc = Service::start(ServiceConfig {

@@ -4,11 +4,11 @@
 //! mutation, and a disk tier written by either format (or an old v1-only
 //! daemon) must answer the other format bit-identically after a restart.
 
-use batsched_service::disk::{DiskFormat, DiskTier};
+use batsched_service::disk::DiskTier;
 use batsched_service::wire::{parse_request, ModelSpec, ScheduleRequest, ScheduleResponse};
 use batsched_service::{
-    decode_request, decode_response, encode_request, Disposition, FaultPlane, FsyncPolicy, Service,
-    ServiceConfig, WireFormat,
+    decode_request, decode_response, encode_request, Disposition, Service, ServiceConfig,
+    WireFormat,
 };
 use batsched_taskgraph::paper::{g2, g3};
 use batsched_taskgraph::{DesignPoint, TaskGraph};
@@ -218,21 +218,37 @@ fn disk_path(name: &str) -> std::path::PathBuf {
     p
 }
 
+/// One v1 record line, spelled the way a JSONL-only daemon wrote it.
+fn v1_line(key: u64, body: &str) -> String {
+    let body = serde_json::to_string(body).expect("serialises");
+    format!("{{\"key\":\"{key:016x}\",\"body\":{body}}}\n")
+}
+
+/// Replaces the disk file with the v1 lines an old JSONL-only daemon
+/// would have left for the same answers.
+fn rewrite_as_v1(path: &std::path::Path, reqs: &[ScheduleRequest], bodies: &[String]) {
+    let lines: String = reqs
+        .iter()
+        .zip(bodies)
+        .map(|(r, body)| v1_line(r.content_hash(), body))
+        .collect();
+    std::fs::write(path, lines).expect("write v1 file");
+}
+
 /// The acceptance-criteria warm restart: a disk tier populated through
 /// JSON requests answers the binary spelling of the same requests
-/// bit-identically after a restart — and vice versa — in both disk
-/// formats.
+/// bit-identically after a restart — and vice versa — whether the file
+/// holds v2 records or the v1 lines an older daemon wrote.
 #[test]
 fn warm_restart_answers_the_other_wire_format_bit_identically() {
-    for fmt in [DiskFormat::V1, DiskFormat::V2] {
-        let path = disk_path(&format!("warm_restart_{fmt:?}"));
+    for fmt in ["v1", "v2"] {
+        let path = disk_path(&format!("warm_restart_{fmt}"));
         let reqs = [
             ScheduleRequest::new(g2(), 75.0),
             ScheduleRequest::new(g3(), 230.0),
         ];
         let cfg = || ServiceConfig {
             disk_path: Some(path.clone()),
-            disk_format: fmt,
             ..ServiceConfig::default()
         };
 
@@ -251,6 +267,9 @@ fn warm_restart_answers_the_other_wire_format_bit_identically() {
             })
             .collect();
         svc.shutdown(); // compacts the tier on the way out
+        if fmt == "v1" {
+            rewrite_as_v1(&path, &reqs, &cold);
+        }
 
         // Restart: binary requests must be disk-warm hits with identical
         // bodies (solved == 0 proves nothing was recomputed).
@@ -279,6 +298,9 @@ fn warm_restart_answers_the_other_wire_format_bit_identically() {
             assert_eq!(&reply.body, expect, "{fmt:?}: binary cold body diverged");
         }
         svc.shutdown();
+        if fmt == "v1" {
+            rewrite_as_v1(&path, &reqs, &cold);
+        }
         let svc = Service::try_start(cfg()).expect("restart json");
         for (r, expect) in reqs.iter().zip(&cold) {
             let reply = svc.call(serde_json::to_string(r).expect("serialises"));
@@ -313,21 +335,11 @@ fn legacy_v1_file_upgrades_through_compaction_bit_identically() {
     svc.shutdown();
 
     // Write the file the way the previous release did: v1 lines only.
-    {
-        let mut tier = DiskTier::open_with_format(
-            &path,
-            FsyncPolicy::default(),
-            FaultPlane::disarmed(),
-            DiskFormat::V1,
-        )
-        .expect("open v1");
-        for (k, body) in &bodies {
-            tier.put(*k, body).expect("put");
-        }
-    }
+    let v1: String = bodies.iter().map(|(k, body)| v1_line(*k, body)).collect();
+    std::fs::write(&path, v1).expect("write v1 file");
     let v1_len = std::fs::metadata(&path).expect("meta").len();
 
-    // A default (v2) tier loads it, replays bit-identically, and its
+    // A tier loads it, replays bit-identically, and its
     // compaction shrinks the file by re-encoding responses as binary.
     let mut tier = DiskTier::open(&path).expect("open v2");
     assert_eq!(tier.len(), bodies.len());
