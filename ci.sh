@@ -239,10 +239,12 @@ echo "==> perf smoke + snapshot (BENCH_scheduler.json, floors enforced)"
 # command as `just bench-quick`).
 cargo run --release -q -p batsched-bench --bin repro_bench_json -- --quick --check
 
-echo "==> wire-format A/B (binary admission floor enforced)"
+echo "==> wire-format A/B (binary admission floor, JSON admission exponent ceiling)"
 # --wire --check admits the n-scaling instances in both wire formats:
-# the fused single-pass binary decode+hash must produce the same cache
-# key as the JSON path and beat JSON parse+hash by >= 2x at n=200.
+# both must produce the same cache key, binary decode+hash must beat
+# JSON parse+hash by >= 2x at n=200, and JSON admission time must grow
+# no faster than n^1.5 (a quadratic parser reads ~2). Both are judged on
+# the median of interleaved rounds.
 cargo run --release -q -p batsched-bench --bin loadgen -- --wire --quick --check
 
 echo "==> service load snapshot (BENCH_service.json, keep-alive floor enforced)"

@@ -20,10 +20,12 @@
 //!   size under the carried window-sweep kernel;
 //! * **wire** — the admission A/B on the same n-scaling instances: each
 //!   request is admitted `iters` times as JSON (`parse_request` + the
-//!   streaming content hash) and as binary (`decode_request`, whose
-//!   single-pass decoder folds the hash into the byte walk), asserting the
-//!   two spellings produce the same cache key; `--check` fails the run
-//!   unless the fused binary path wins by ≥ 2× at n = 200;
+//!   streaming content hash) and as binary (`decode_request`: decode, then
+//!   the same content hash of the decoded request), asserting the two
+//!   spellings produce the same cache key, and the growth exponent of JSON
+//!   admission time over n is fitted; `--check` fails the run unless
+//!   binary admission wins by ≥ 2× at n = 200 and the exponent is ≤ 1.5
+//!   (a quadratic parser reads ≈ 2);
 //! * **warm_restart** — a disk-backed service answers a unique stream
 //!   cold, shuts down (compacting its cache file), restarts, and must
 //!   answer the same stream entirely from the disk tier with bit-identical
@@ -55,7 +57,8 @@
 //! quantized identically.
 //!
 //! Flags: `--quick` shrinks the grids (CI mode); `--check` enforces the
-//! keep-alive ≥ 1.5× and binary-admission ≥ 2× floors; `--wire` runs only
+//! keep-alive ≥ 1.5× and binary-admission ≥ 2× floors and the JSON
+//! admission-exponent ≤ 1.5 ceiling; `--wire` runs only
 //! the wire A/B and prints its report; `--smoke --addr <host:port>`
 //! switches to HTTP-client mode against a running daemon — schedule
 //! request (in both wire formats — the binary spelling must hit the JSON
@@ -188,6 +191,14 @@ struct WirePoint {
     keys_match: bool,
 }
 
+/// The wire A/B's envelope: one point per instance size, plus the fitted
+/// growth exponent of JSON admission time over n.
+#[derive(Debug, Serialize)]
+struct WireReport {
+    admission_exponent: f64,
+    points: Vec<WirePoint>,
+}
+
 #[derive(Debug, Serialize)]
 struct KeepAliveReport {
     requests: usize,
@@ -249,7 +260,7 @@ struct BenchDoc {
     dup: DupReport,
     keepalive: KeepAliveReport,
     scaling: Vec<ScalingPoint>,
-    wire: Vec<WirePoint>,
+    wire: WireReport,
     warm_restart: WarmRestartReport,
     malformed: MalformedReport,
     chaos: ChaosReport,
@@ -505,59 +516,93 @@ fn run_keepalive_ab(quick: bool) -> KeepAliveReport {
     }
 }
 
+/// Highest growth exponent of JSON admission time over n that `--check`
+/// accepts: linear parsing and hashing read ≈ 1, a quadratic scan ≈ 2.
+const MAX_ADMISSION_EXPONENT: f64 = 1.5;
+
+/// Mean wall time of `batch` runs of `f`, in µs.
+fn mean_us(batch: usize, mut f: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    t0.elapsed().as_secs_f64() * 1e6 / batch as f64
+}
+
+/// The median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// The wire-format admission A/B on the shared n-scaling instances: each
 /// request is admitted repeatedly as JSON (`parse_request` plus the
 /// streaming canonical content hash — everything the service does before
-/// the cache lookup) and as binary (`decode_request`, whose single pass
-/// folds the hash into the decode walk). The two spellings must produce
-/// the same cache key; with `check`, the binary path must win by ≥ 2× on
-/// the largest instance.
-fn run_wire(quick: bool, check: bool) -> Vec<WirePoint> {
-    let iters = if quick { 40 } else { 160 };
-    let mut points = Vec::new();
-    for &n in &[50usize, 100, 200] {
+/// the cache lookup) and as binary (`decode_request`, the same key of the
+/// decoded request). The two spellings must produce the same cache key.
+/// With `check`, the binary path must win by ≥ 2× on the largest
+/// instance and JSON admission must grow no faster than
+/// n^[`MAX_ADMISSION_EXPONENT`].
+///
+/// The host's speed drifts over seconds, so the estimator is the median
+/// of K rounds, and each round times every size in both spellings back
+/// to back: the speedup and the exponent are computed within a round,
+/// where the drift cannot reach them, and then take their median.
+fn run_wire(quick: bool, check: bool) -> WireReport {
+    const SIZES: [usize; 3] = [50, 100, 200];
+    const BATCH: usize = 2;
+    let rounds = if quick { 31 } else { 101 };
+    let mut docs = Vec::new();
+    for n in SIZES {
         let g = batsched_bench::workloads::synthetic_scaling(n);
         let deadline = loose_deadline(&g);
         let req = ScheduleRequest::new(g, deadline);
         let json = serde_json::to_string(&req).expect("request serialises");
         let bin = encode_request(&req);
-
         let json_key = parse_request(&json).expect("JSON admits").content_hash();
         let (_, bin_key) = decode_request(&bin).expect("binary admits");
-        let keys_match = json_key == bin_key;
-        assert!(
-            keys_match,
-            "n={n}: JSON and binary spellings must share one cache key \
-             ({json_key:016x} vs {bin_key:016x})"
+        assert_eq!(
+            json_key, bin_key,
+            "n={n}: JSON and binary spellings must share one cache key"
         );
+        docs.push((json, bin));
+    }
 
-        // Fold every hash into a sink so the admission work cannot be
-        // optimised away.
-        let mut sink = 0u64;
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            let req = parse_request(std::hint::black_box(&json)).expect("JSON admits");
-            sink = sink.wrapping_add(req.content_hash());
-        }
-        let json_admit_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            let (req, hash) = decode_request(std::hint::black_box(&bin)).expect("binary admits");
-            std::hint::black_box(&req);
-            sink = sink.wrapping_add(hash);
-        }
-        let bin_admit_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-        std::hint::black_box(sink);
+    // samples[round][size] = (JSON µs, binary µs). Every hash folds into
+    // a sink so the admission work cannot be optimised away.
+    let mut sink = 0u64;
+    let samples: Vec<Vec<(f64, f64)>> = (0..rounds)
+        .map(|_| {
+            docs.iter()
+                .map(|(json, bin)| {
+                    let json_us = mean_us(BATCH, || {
+                        let req = parse_request(std::hint::black_box(json)).expect("JSON admits");
+                        sink = sink.wrapping_add(req.content_hash());
+                    });
+                    let bin_us = mean_us(BATCH, || {
+                        let (req, hash) =
+                            decode_request(std::hint::black_box(bin)).expect("binary admits");
+                        std::hint::black_box(&req);
+                        sink = sink.wrapping_add(hash);
+                    });
+                    (json_us, bin_us)
+                })
+                .collect()
+        })
+        .collect();
+    std::hint::black_box(sink);
 
+    let mut points = Vec::new();
+    for (i, (n, (json, bin))) in SIZES.iter().zip(&docs).enumerate() {
         let point = WirePoint {
-            n,
-            iters,
-            json_admit_us,
-            bin_admit_us,
-            speedup: json_admit_us / bin_admit_us.max(1e-9),
+            n: *n,
+            iters: rounds * BATCH,
+            json_admit_us: median(samples.iter().map(|r| r[i].0).collect()),
+            bin_admit_us: median(samples.iter().map(|r| r[i].1).collect()),
+            speedup: median(samples.iter().map(|r| r[i].0 / r[i].1.max(1e-9)).collect()),
             json_bytes: json.len(),
             bin_bytes: bin.len(),
-            keys_match,
+            keys_match: true,
         };
         eprintln!(
             "wire      : n={n}, JSON admit {:.0} µs vs binary {:.0} µs → {:.1}× ({} vs {} bytes)",
@@ -567,16 +612,38 @@ fn run_wire(quick: bool, check: bool) -> Vec<WirePoint> {
             point.json_bytes,
             point.bin_bytes
         );
-        if check && n == 200 {
-            assert!(
-                point.speedup >= 2.0,
-                "fused binary admission must beat JSON parse+hash by ≥ 2× at n=200, got {:.2}×",
-                point.speedup
-            );
-        }
         points.push(point);
     }
-    points
+    let admission_exponent = median(
+        samples
+            .iter()
+            .map(|round| {
+                let series: Vec<(f64, f64)> = SIZES
+                    .iter()
+                    .zip(round)
+                    .map(|(&n, &(j, _))| (n as f64, j))
+                    .collect();
+                batsched_bench::fitted_exponent(&series)
+            })
+            .collect(),
+    );
+    eprintln!("wire      : JSON admission grows as n^{admission_exponent:.2}");
+    if check {
+        let at_200 = points.last().expect("three sizes").speedup;
+        assert!(
+            at_200 >= 2.0,
+            "binary admission must beat JSON parse+hash by ≥ 2× at n=200, got {at_200:.2}×"
+        );
+        assert!(
+            admission_exponent <= MAX_ADMISSION_EXPONENT,
+            "JSON admission (parse + hash) must grow at most as n^{MAX_ADMISSION_EXPONENT}, \
+             fitted n^{admission_exponent:.2}"
+        );
+    }
+    WireReport {
+        admission_exponent,
+        points,
+    }
 }
 
 /// The warm-restart scenario: a disk-backed service answers a unique
@@ -1809,16 +1876,17 @@ fn main() {
     // Exercised so the canonical-form constant stays a public contract.
     let _ = (DEFAULT_MAX_ITERATIONS, ModelSpec::default_rv());
     if wire {
-        let points = run_wire(quick, check);
+        let report = run_wire(quick, check);
         eprintln!(
             "{}",
-            serde_json::to_string_pretty(&points).expect("wire report serialises")
+            serde_json::to_string_pretty(&report).expect("wire report serialises")
         );
-        let at_200 = points.last().expect("three scaling points");
+        let at_200 = report.points.last().expect("three scaling points");
         println!(
-            "WIRE OK ({} points, {:.1}× at n=200, keys match)",
-            points.len(),
-            at_200.speedup
+            "WIRE OK ({} points, {:.1}× at n=200, admission n^{:.2}, keys match)",
+            report.points.len(),
+            at_200.speedup,
+            report.admission_exponent
         );
     } else if fleet_smoke {
         run_fleet_smoke(addr.expect("--fleet-smoke needs --addr <host:port>"));

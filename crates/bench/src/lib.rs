@@ -167,7 +167,8 @@ pub mod workloads {
 }
 
 /// Least-squares slope of `ln(y)` against `ln(x)` — the fitted growth
-/// exponent of a runtime series, used by the `sweep_scaling` perf gate.
+/// exponent of a runtime series, used by the `sweep_scaling` and wire
+/// admission perf gates.
 pub fn fitted_exponent(points: &[(f64, f64)]) -> f64 {
     let k = points.len() as f64;
     let (mut sx, mut sy, mut sxx, mut sxy) = (0.0, 0.0, 0.0, 0.0);

@@ -57,7 +57,7 @@
 use crate::service::ServiceConfig;
 use crate::service::{Disposition, Service};
 use crate::trace::{self, Span};
-use crate::wire::{ErrorResponse, ScheduleResponse};
+use crate::wire::{self, ErrorResponse, ScheduleResponse};
 use crate::wire_bin::{self, WireFormat};
 use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -390,19 +390,22 @@ fn serve_one(req: Request, stream: &mut TcpStream, service: &Service) -> io::Res
                 reply_json(415, &err.to_json())?;
                 return Ok(Next::Continue);
             };
+            // The one hash of the raw body: it names the trace and keys the
+            // worker's alias lookup.
+            let raw_key = wire::fnv1a64(&req.body);
             let trace_id = req
                 .request_id
                 .clone()
-                .unwrap_or_else(|| trace::make_trace_id(&req.body, service.next_trace_seq()));
+                .unwrap_or_else(|| trace::make_trace_id(raw_key, service.next_trace_seq()));
             // Connection-level fault sites need the body text for their
-            // key predicate, but `call_bytes` consumes the body — copy it
+            // key predicate, but `call_hashed` consumes the body — copy it
             // only while a plane is armed (never on the production path).
             let fault_key = if service.faults().is_armed() {
                 Some(String::from_utf8_lossy(&req.body).into_owned())
             } else {
                 None
             };
-            let reply = service.call_bytes(req.body, format);
+            let reply = service.call_hashed(req.body, format, raw_key);
             let status = trace::status_code(reply.disposition);
             if let Some(key) = &fault_key {
                 // A stalled upstream holds the answer: the request was read

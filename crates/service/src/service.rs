@@ -250,6 +250,8 @@ struct Job {
     /// as declared by `format`. Validation happens on the worker.
     body: Vec<u8>,
     format: WireFormat,
+    /// [`wire::fnv1a64`] of `body`, taken once by whoever received it.
+    raw_key: u64,
     reply: Sender<Reply>,
     submitted: Instant,
 }
@@ -851,20 +853,20 @@ impl Service {
     /// When the queue is full (or the service is shutting down) the typed
     /// overload [`Reply`] is returned immediately instead of a receiver.
     pub fn submit(&self, body: String) -> Result<Receiver<Reply>, Box<Reply>> {
-        self.submit_bytes(body.into_bytes(), WireFormat::Json)
+        let body = body.into_bytes();
+        let raw_key = wire::fnv1a64(&body);
+        self.enqueue(body, WireFormat::Json, raw_key)
     }
 
-    /// Enqueues a raw request document in the declared wire format without
-    /// blocking. The response body is always canonical JSON; frontends
-    /// that negotiated a binary response transcode it at the edge.
-    ///
-    /// # Errors
-    ///
-    /// As [`Service::submit`].
-    pub fn submit_bytes(
+    /// Enqueues a raw request document in the declared wire format, whose
+    /// raw hash `raw_key` the caller already took, without blocking. The
+    /// response body is always canonical JSON; frontends that negotiated
+    /// a binary response transcode it at the edge.
+    fn enqueue(
         &self,
         body: Vec<u8>,
         format: WireFormat,
+        raw_key: u64,
     ) -> Result<Receiver<Reply>, Box<Reply>> {
         let started = Instant::now();
         let m = &self.shared.metrics;
@@ -886,6 +888,7 @@ impl Service {
         match tx.try_send(Job {
             body,
             format,
+            raw_key,
             reply: reply_tx,
             submitted: started,
         }) {
@@ -913,8 +916,16 @@ impl Service {
     /// [`Service::call`] for a raw document in the declared wire format.
     /// The reply body is always canonical JSON regardless of `format`.
     pub fn call_bytes(&self, body: Vec<u8>, format: WireFormat) -> Reply {
+        let raw_key = wire::fnv1a64(&body);
+        self.call_hashed(body, format, raw_key)
+    }
+
+    /// [`Service::call_bytes`] for a frontend that already hashed the raw
+    /// body (for its trace id): the worker's alias lookup reuses
+    /// `raw_key`, so the body is hashed once per request.
+    pub(crate) fn call_hashed(&self, body: Vec<u8>, format: WireFormat, raw_key: u64) -> Reply {
         let started = Instant::now();
-        let reply = self.call_inner(body, format, started);
+        let reply = self.call_inner(body, format, raw_key, started);
         // The end-to-end histogram is observed here — once per answered
         // request, whatever the outcome — so its `_count` is exactly the
         // number of requests served through this entry point.
@@ -925,8 +936,14 @@ impl Service {
         reply
     }
 
-    fn call_inner(&self, body: Vec<u8>, format: WireFormat, started: Instant) -> Reply {
-        let rx = match self.submit_bytes(body, format) {
+    fn call_inner(
+        &self,
+        body: Vec<u8>,
+        format: WireFormat,
+        raw_key: u64,
+        started: Instant,
+    ) -> Reply {
+        let rx = match self.enqueue(body, format, raw_key) {
             Ok(rx) => rx,
             Err(reply) => return *reply,
         };
@@ -1207,9 +1224,7 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
         // The workspace's phase counters are cumulative across requests;
         // the delta around `answer` is what this request cost.
         let prof_before = ws.prof();
-        match catch_unwind(AssertUnwindSafe(|| {
-            answer(&job.body, job.format, shared, &mut ws, job.submitted)
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| answer(&job, shared, &mut ws))) {
             Ok(mut reply) => {
                 reply.trace.queue_us = queue_us;
                 reply.trace.worker = worker;
@@ -1250,22 +1265,17 @@ fn worker_loop(id: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) -> bool {
     }
 }
 
-fn answer(
-    body: &[u8],
-    format: WireFormat,
-    shared: &Shared,
-    ws: &mut SolverWorkspace,
-    submitted: Instant,
-) -> Reply {
+fn answer(job: &Job, shared: &Shared, ws: &mut SolverWorkspace) -> Reply {
+    let (body, raw_key) = (job.body.as_slice(), job.raw_key);
     let finish = |disposition: Disposition, body: String, trace: RequestTrace| Reply {
-        micros: submitted.elapsed().as_micros() as u64,
+        micros: job.submitted.elapsed().as_micros() as u64,
         body,
         disposition,
         trace,
     };
     let us = |t: Instant| t.elapsed().as_micros() as u64;
     let mut trace = RequestTrace {
-        format,
+        format: job.format,
         ..RequestTrace::default()
     };
     // Injected solver latency models a slow solve (chaos tests drive the
@@ -1287,55 +1297,37 @@ fn answer(
     // document byte-for-byte (a hash collision is a miss, not a lie).
     // Works identically for JSON and binary spellings.
     let t = Instant::now();
-    let raw_key = wire::fnv1a64(body);
     let alias_hit = shared.cache.get_by_alias(raw_key, body);
     trace.cache_us += us(t);
     if let Some(cached) = alias_hit {
         return finish(Disposition::Ok { cached: true }, cached, trace);
     }
-    // Admission: JSON parses then hashes in a separate (streaming) pass;
-    // the binary decoder folds the canonical hash into its single byte
-    // walk, so `hash_us` stays 0 — the hash came for free.
-    let (req, key) = match format {
-        WireFormat::Json => {
-            let t = Instant::now();
-            let parsed = std::str::from_utf8(body)
-                .map_err(|_| wire::WireError::Syntax {
-                    message: "body is not UTF-8".into(),
-                })
-                .and_then(wire::parse_request);
-            trace.parse_us += us(t);
-            let req = match parsed {
-                Ok(req) => req,
-                Err(e) => {
-                    return finish(
-                        Disposition::ClientError,
-                        ErrorResponse::from_wire(&e).to_json(),
-                        trace,
-                    );
-                }
-            };
-            let t = Instant::now();
-            let key = req.content_hash();
-            trace.hash_us += us(t);
-            (req, key)
-        }
-        WireFormat::Binary => {
-            let t = Instant::now();
-            let decoded = wire_bin::decode_request(body);
-            trace.parse_us += us(t);
-            match decoded {
-                Ok(pair) => pair,
-                Err(e) => {
-                    return finish(
-                        Disposition::ClientError,
-                        ErrorResponse::from_wire(&e).to_json(),
-                        trace,
-                    );
-                }
-            }
+    // Admission: decode and validate in the declared format, then take
+    // the canonical key of the decoded request — one pass of each, the
+    // same for both formats.
+    let t = Instant::now();
+    let decoded = match job.format {
+        WireFormat::Json => std::str::from_utf8(body)
+            .map_err(|_| wire::WireError::Syntax {
+                message: "body is not UTF-8".into(),
+            })
+            .and_then(wire::parse_request),
+        WireFormat::Binary => wire_bin::decode(body),
+    };
+    trace.parse_us += us(t);
+    let req = match decoded {
+        Ok(req) => req,
+        Err(e) => {
+            return finish(
+                Disposition::ClientError,
+                ErrorResponse::from_wire(&e).to_json(),
+                trace,
+            );
         }
     };
+    let t = Instant::now();
+    let key = req.content_hash();
+    trace.hash_us += us(t);
     let t = Instant::now();
     let canonical_hit = shared.cache.get(key);
     trace.cache_us += us(t);
@@ -1384,7 +1376,7 @@ fn answer(
         panic!("injected solver panic");
     }
     let t = Instant::now();
-    let solved = solve(&req, ws);
+    let solved = solve_keyed(&req, key, ws);
     trace.solve_us += us(t);
     match solved {
         Ok(resp) => {
@@ -1433,6 +1425,15 @@ pub fn solve(
     req: &ScheduleRequest,
     ws: &mut SolverWorkspace,
 ) -> Result<ScheduleResponse, ErrorResponse> {
+    solve_keyed(req, req.content_hash(), ws)
+}
+
+/// [`solve`] for a request whose cache key admission already computed.
+fn solve_keyed(
+    req: &ScheduleRequest,
+    key: u64,
+    ws: &mut SolverWorkspace,
+) -> Result<ScheduleResponse, ErrorResponse> {
     let config = wire::scheduler_config(req);
     let sol = schedule_in(&req.graph, Minutes::new(req.deadline), &config, ws)
         .map_err(|e| ErrorResponse::from_scheduler(&e))?;
@@ -1453,7 +1454,7 @@ pub fn solve(
     };
     Ok(ScheduleResponse {
         v: WIRE_VERSION,
-        key: req.key(),
+        key: format!("{key:016x}"),
         model: spec.name().to_string(),
         order: sol.schedule.order().iter().map(|t| t.index()).collect(),
         assignment: sol

@@ -7,7 +7,10 @@
 //! requests that *mean* the same thing — regardless of field order,
 //! whitespace, or whether defaults are spelled out — share one **canonical
 //! rendering** and therefore one content hash, which is what the result
-//! cache keys on.
+//! cache keys on. This module is the only one that knows the canonical
+//! form: both wire decoders ([`parse_request`] and
+//! [`crate::wire_bin::decode_request`]) produce a [`ScheduleRequest`], and
+//! the key is [`ScheduleRequest::content_hash`] of that decoded request.
 //!
 //! Responses are plain data; the `cached` signal deliberately lives in
 //! transport metadata (the HTTP `X-Cache` header, the
@@ -213,15 +216,46 @@ impl ScheduleRequest {
     pub fn key(&self) -> String {
         format!("{:016x}", self.content_hash())
     }
+
+    /// The envelope checks both wire decoders run on a decoded request:
+    /// deadline, model parameters, capacity and iteration cap. The graph
+    /// was already checked while it was built, by
+    /// [`io::graph_from_parts`].
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::InvalidDeadline`], [`WireError::InvalidModel`],
+    /// [`WireError::InvalidCapacity`], or [`WireError::BadField`] for a
+    /// zero `max_iterations`.
+    pub fn check(&self) -> Result<(), WireError> {
+        if !(self.deadline.is_finite() && self.deadline > 0.0) {
+            return Err(WireError::InvalidDeadline {
+                deadline: self.deadline,
+            });
+        }
+        if let Some(spec) = &self.model {
+            spec.build()?; // instantiating the model validates its parameters
+        }
+        if let Some(c) = self.capacity.filter(|c| !(c.is_finite() && *c > 0.0)) {
+            return Err(WireError::InvalidCapacity { capacity: c });
+        }
+        if self.max_iterations == Some(0) {
+            return Err(WireError::BadField {
+                field: "max_iterations",
+                message: "must be at least 1".into(),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Streams the canonical rendering of `req` — byte-identical to
 /// [`ScheduleRequest::canonical_json`] — into any [`fmt::Write`] sink,
 /// walking the request in place: no graph clone, no value tree, no
 /// intermediate `String`. Feeding an [`Fnv`] sink turns canonical hashing
-/// into a single pass over the request, and the binary decoder
-/// ([`crate::wire_bin`]) emits exactly these fragments during its byte
-/// walk so both formats hash identically.
+/// into a single pass over the request. Model variants render as the
+/// derived `Serialize` spells them: unit variants as strings, data
+/// variants as single-key objects with fields in declaration order.
 ///
 /// # Errors
 ///
@@ -267,15 +301,35 @@ pub fn render_canonical<W: fmt::Write>(req: &ScheduleRequest, out: &mut W) -> fm
     out.write_str("]},\"deadline\":")?;
     put_num(req.deadline, out)?;
     out.write_str(",\"model\":")?;
-    let default_model;
-    let spec = match &req.model {
-        Some(s) => s,
-        None => {
-            default_model = ModelSpec::default_rv();
-            &default_model
+    match req.model.clone().unwrap_or_else(ModelSpec::default_rv) {
+        ModelSpec::Rv { beta, terms } => {
+            out.write_str("{\"Rv\":{\"beta\":")?;
+            put_num(beta, out)?;
+            out.write_str(",\"terms\":")?;
+            put_num(terms as f64, out)?;
+            out.write_str("}}")?;
         }
-    };
-    render_canonical_model(spec, out)?;
+        ModelSpec::Kibam { c, k, alpha } => {
+            out.write_str("{\"Kibam\":{\"c\":")?;
+            put_num(c, out)?;
+            out.write_str(",\"k\":")?;
+            put_num(k, out)?;
+            out.write_str(",\"alpha\":")?;
+            put_num(alpha, out)?;
+            out.write_str("}}")?;
+        }
+        ModelSpec::Peukert {
+            exponent,
+            reference,
+        } => {
+            out.write_str("{\"Peukert\":{\"exponent\":")?;
+            put_num(exponent, out)?;
+            out.write_str(",\"reference\":")?;
+            put_num(reference, out)?;
+            out.write_str("}}")?;
+        }
+        ModelSpec::Ideal => out.write_str("\"Ideal\"")?,
+    }
     out.write_str(",\"capacity\":")?;
     match req.capacity {
         Some(c) => put_num(c, out)?,
@@ -289,45 +343,10 @@ pub fn render_canonical<W: fmt::Write>(req: &ScheduleRequest, out: &mut W) -> fm
     out.write_char('}')
 }
 
-/// The canonical rendering of one [`ModelSpec`] — byte-identical to how
-/// the derived `Serialize` spells it (unit variants as strings, data
-/// variants as single-key objects with fields in declaration order).
-pub(crate) fn render_canonical_model<W: fmt::Write>(spec: &ModelSpec, out: &mut W) -> fmt::Result {
-    match spec {
-        ModelSpec::Rv { beta, terms } => {
-            out.write_str("{\"Rv\":{\"beta\":")?;
-            put_num(*beta, out)?;
-            out.write_str(",\"terms\":")?;
-            put_num(*terms as f64, out)?;
-            out.write_str("}}")
-        }
-        ModelSpec::Kibam { c, k, alpha } => {
-            out.write_str("{\"Kibam\":{\"c\":")?;
-            put_num(*c, out)?;
-            out.write_str(",\"k\":")?;
-            put_num(*k, out)?;
-            out.write_str(",\"alpha\":")?;
-            put_num(*alpha, out)?;
-            out.write_str("}}")
-        }
-        ModelSpec::Peukert {
-            exponent,
-            reference,
-        } => {
-            out.write_str("{\"Peukert\":{\"exponent\":")?;
-            put_num(*exponent, out)?;
-            out.write_str(",\"reference\":")?;
-            put_num(*reference, out)?;
-            out.write_str("}}")
-        }
-        ModelSpec::Ideal => out.write_str("\"Ideal\""),
-    }
-}
-
 /// Writes `s` as a JSON string literal, escaping exactly like the vendored
 /// serde renderer (so streamed output stays byte-identical to
 /// `serde_json::to_string`).
-pub(crate) fn put_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+fn put_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
     out.write_char('"')?;
     for c in s.chars() {
         match c {
@@ -344,9 +363,15 @@ pub(crate) fn put_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
 }
 
 /// Writes a number exactly like the vendored serde renderer: shortest
-/// round-trip for finite values, `null` for non-finite ones.
-pub(crate) fn put_num<W: fmt::Write>(x: f64, out: &mut W) -> fmt::Result {
-    if x.is_finite() {
+/// round-trip for finite values, `null` for non-finite ones. An integral
+/// value below 2^53 (indices, counts, whole milliamps) prints the digits
+/// of the integer it equals, which is what `f64`'s `Display` prints too,
+/// without its shortest-round-trip search; `-0.0` keeps the slow path and
+/// its sign.
+fn put_num<W: fmt::Write>(x: f64, out: &mut W) -> fmt::Result {
+    if x.fract() == 0.0 && x.abs() < 9.0e15 && (x != 0.0 || x.is_sign_positive()) {
+        write!(out, "{}", x as i64)
+    } else if x.is_finite() {
         write!(out, "{x}")
     } else {
         out.write_str("null")
@@ -354,8 +379,8 @@ pub(crate) fn put_num<W: fmt::Write>(x: f64, out: &mut W) -> fmt::Result {
 }
 
 /// Incremental FNV-1a 64 hasher that doubles as a [`fmt::Write`] sink, so
-/// canonical hashing streams through [`render_canonical`] (or the binary
-/// decoder's fused byte walk) without materialising the document.
+/// canonical hashing streams through [`render_canonical`] without
+/// materialising the document.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv(u64);
 
@@ -486,12 +511,11 @@ impl std::error::Error for WireError {}
 
 /// Parses and fully validates one request document. The graph goes through
 /// [`io::graph_from_value`] (typed rejection of duplicate edges, bad
-/// numbers, cycles, …); envelope numbers are range-checked; model
-/// parameters are instantiated once to validate them.
+/// numbers, cycles, …); the envelope through [`ScheduleRequest::check`].
 ///
 /// # Errors
 ///
-/// Every [`WireError`] variant is reachable; see its docs.
+/// Every [`WireError`] variant except `Binary`; see its docs.
 pub fn parse_request(doc: &str) -> Result<ScheduleRequest, WireError> {
     let v = serde::json::parse(doc).map_err(|e| WireError::Syntax {
         message: e.to_string(),
@@ -503,6 +527,8 @@ pub fn parse_request(doc: &str) -> Result<ScheduleRequest, WireError> {
         });
     }
     let req_field = |name: &'static str| v.get(name).ok_or(WireError::MissingField { field: name });
+    // An optional field may be absent or `null`; both mean `None`.
+    let opt_field = |name: &'static str| v.get(name).unwrap_or(&serde::json::Value::Null);
     let bad = |name: &'static str, e: &dyn fmt::Display| WireError::BadField {
         field: name,
         message: e.to_string(),
@@ -512,54 +538,23 @@ pub fn parse_request(doc: &str) -> Result<ScheduleRequest, WireError> {
     if version != WIRE_VERSION {
         return Err(WireError::Version { found: version });
     }
-
-    let graph = io::graph_from_value(req_field("graph")?).map_err(WireError::Graph)?;
-
-    let deadline: f64 =
-        serde::Deserialize::from_value(req_field("deadline")?).map_err(|e| bad("deadline", &e))?;
-    if !(deadline.is_finite() && deadline > 0.0) {
-        return Err(WireError::InvalidDeadline { deadline });
-    }
-
-    let model: Option<ModelSpec> = match v.get("model") {
-        None => None,
-        Some(mv) => serde::Deserialize::from_value(mv).map_err(|e| WireError::InvalidModel {
-            message: e.to_string(),
-        })?,
-    };
-    if let Some(spec) = &model {
-        spec.build()?; // validate parameters now, with a typed error
-    }
-
-    let capacity: Option<f64> = match v.get("capacity") {
-        None => None,
-        Some(cv) => serde::Deserialize::from_value(cv).map_err(|e| bad("capacity", &e))?,
-    };
-    if let Some(c) = capacity {
-        if !(c.is_finite() && c > 0.0) {
-            return Err(WireError::InvalidCapacity { capacity: c });
-        }
-    }
-
-    let max_iterations: Option<usize> = match v.get("max_iterations") {
-        None => None,
-        Some(mv) => serde::Deserialize::from_value(mv).map_err(|e| bad("max_iterations", &e))?,
-    };
-    if max_iterations == Some(0) {
-        return Err(WireError::BadField {
-            field: "max_iterations",
-            message: "must be at least 1".into(),
-        });
-    }
-
-    Ok(ScheduleRequest {
+    let req = ScheduleRequest {
         v: version,
-        graph,
-        deadline,
-        model,
-        capacity,
-        max_iterations,
-    })
+        graph: io::graph_from_value(req_field("graph")?).map_err(WireError::Graph)?,
+        deadline: serde::Deserialize::from_value(req_field("deadline")?)
+            .map_err(|e| bad("deadline", &e))?,
+        model: serde::Deserialize::from_value(opt_field("model")).map_err(|e| {
+            WireError::InvalidModel {
+                message: e.to_string(),
+            }
+        })?,
+        capacity: serde::Deserialize::from_value(opt_field("capacity"))
+            .map_err(|e| bad("capacity", &e))?,
+        max_iterations: serde::Deserialize::from_value(opt_field("max_iterations"))
+            .map_err(|e| bad("max_iterations", &e))?,
+    };
+    req.check()?;
+    Ok(req)
 }
 
 /// A successful scheduling answer.
@@ -672,12 +667,9 @@ impl ErrorResponse {
 /// their cache slots; at 64 bits and few-hundred-entry caches that risk
 /// is accepted and documented in `docs/SERVICE.md`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.update(bytes);
+    h.finish()
 }
 
 /// Builds the scheduler configuration a request asks for.
@@ -864,6 +856,37 @@ mod tests {
             render_canonical(req, &mut streamed).unwrap();
             assert_eq!(streamed, oracle);
             assert_eq!(req.content_hash(), fnv1a64(oracle.as_bytes()));
+        }
+    }
+
+    #[test]
+    fn integral_numbers_render_as_f64_display_does() {
+        let mut xs = vec![
+            0.0, -0.0, 1.0, -1.0, 12.0, 938.0, 1e15, -1e15, 8.9e15, 9.0e15,
+        ];
+        xs.extend([
+            2f64.powi(53),
+            1e16,
+            1e300,
+            0.1,
+            12.5,
+            -7.25,
+            f64::MIN_POSITIVE,
+        ]);
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..10_000 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            xs.push((seed % 2_000_000) as f64 - 1e6);
+            xs.push(f64::from_bits(seed));
+        }
+        for x in xs {
+            let mut fast = String::new();
+            put_num(x, &mut fast).unwrap();
+            let mut reference = String::new();
+            serde::json::write_compact(&serde::json::Value::Num(x), &mut reference);
+            assert_eq!(fast, reference, "{x:e}");
         }
     }
 

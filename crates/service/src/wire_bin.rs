@@ -5,29 +5,21 @@
 //!
 //! The decoder is a **single pass with no intermediate tree**: each field
 //! is read straight out of the input buffer into the `TaskGraph` builder's
-//! buffers, and the canonical content hash is folded into the same byte
-//! walk — as each field is decoded, the exact canonical-JSON fragment it
-//! corresponds to is streamed into an incremental [`Fnv`] hasher. Because
-//! the format requires design points sorted by ascending duration and a
-//! strictly sorted edge table (the orders the graph builder normalises
-//! to), the builder's stable sort is a no-op and the fused hash equals
-//! [`ScheduleRequest::content_hash`] of the decoded request byte-for-byte:
-//! `decode(encode(r)).key() == r.key()` for every valid request, in either
-//! format.
-//!
-//! Hostile input never panics or over-allocates: every declared count is
-//! capped against the bytes actually remaining before any allocation, and
-//! framing violations answer a typed [`WireError::Binary`] (`bad_binary`)
-//! while semantic violations reuse the JSON path's typed errors
-//! (`invalid_deadline`, `invalid_graph`, …) so clients see one taxonomy.
+//! buffers. It enforces only framing rules — counts capped against the
+//! bytes remaining, truncation, tags and flags, design points sorted by
+//! ascending duration, a strictly sorted edge table whose ends name real
+//! tasks, no trailing bytes — and answers their violations with a typed
+//! [`WireError::Binary`] (`bad_binary`). Everything a request *means* is
+//! checked by the validators the JSON path uses too
+//! ([`io::graph_from_parts`] for the graph, [`ScheduleRequest::check`]
+//! for the envelope), so clients see one error taxonomy, and the cache
+//! key is [`ScheduleRequest::content_hash`] of the decoded request in
+//! either format. Hostile input never panics or over-allocates.
 
-use crate::wire::{
-    put_escaped, put_num, render_canonical_model, Fnv, ModelSpec, ScheduleRequest,
-    ScheduleResponse, WireError, DEFAULT_MAX_ITERATIONS, WIRE_VERSION,
-};
+use crate::wire::{ModelSpec, ScheduleRequest, ScheduleResponse, WireError, WIRE_VERSION};
 use batsched_battery::units::{MilliAmps, Minutes, Volts};
-use batsched_taskgraph::io::IoError;
-use batsched_taskgraph::{DesignPoint, TaskGraph, TaskNode};
+use batsched_taskgraph::io;
+use batsched_taskgraph::{DesignPoint, TaskNode};
 
 /// The negotiated media type for binary requests and responses.
 pub const CONTENT_TYPE: &str = "application/x-batsched-bin";
@@ -238,130 +230,83 @@ pub fn encode_request(req: &ScheduleRequest) -> Vec<u8> {
     out
 }
 
-/// Decodes and fully validates one binary request in a single fused pass,
-/// returning the request together with its canonical content hash (equal
-/// to [`ScheduleRequest::content_hash`], computed during the same byte
-/// walk — the JSON path's separate parse-then-hash passes collapse into
-/// one here).
+/// Decodes and fully validates one binary request, returning it together
+/// with its cache key, [`ScheduleRequest::content_hash`].
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
+    let req = decode(buf)?;
+    let key = req.content_hash();
+    Ok((req, key))
+}
+
+/// Decodes and fully validates one binary request in a single pass.
 ///
 /// Format invariants beyond framing: design points sorted by ascending
 /// duration within each task, and the edge table strictly sorted by
-/// `(from, to)` — the graph builder's normalised orders, which is what
-/// makes hashing-while-decoding sound.
+/// `(from, to)` — the graph builder's normalised orders, which
+/// [`encode_request`] always emits.
 ///
 /// # Errors
 ///
 /// [`WireError::Binary`] for framing problems; the JSON path's typed
 /// errors ([`WireError::Graph`], [`WireError::InvalidDeadline`], …) for
 /// semantic ones.
-pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
+pub(crate) fn decode(buf: &[u8]) -> Result<ScheduleRequest, WireError> {
     let mut r = Reader::new(buf);
     check_header(&mut r, KIND_REQUEST, "request")?;
-    let mut h = Fnv::new();
-    h.update(b"{\"v\":1,\"graph\":{\"tasks\":[");
 
     let task_count = r.u32("task count")? as usize;
     r.cap_count(task_count, 4, "task")?;
     let mut tasks = Vec::with_capacity(task_count);
-    for i in 0..task_count {
-        if i > 0 {
-            h.update(b",");
-        }
+    for _ in 0..task_count {
         let name = r.str("task name")?;
-        h.update(b"{\"name\":");
-        let _ = put_escaped(name, &mut h);
-        h.update(b",\"points\":[");
         let point_count = r.u16("point count")? as usize;
         r.cap_count(point_count, 24, "design point")?;
         let mut points = Vec::with_capacity(point_count);
         let mut prev_duration = f64::NEG_INFINITY;
-        for j in 0..point_count {
+        for _ in 0..point_count {
             let duration = r.f64("duration")?;
             let current = r.f64("current")?;
             let voltage = r.f64("voltage")?;
-            let bad = |message: &str| {
-                WireError::Graph(IoError::InvalidValue {
-                    task: name.to_string(),
-                    point: j,
-                    message: message.into(),
-                })
-            };
-            if !(duration.is_finite() && duration > 0.0) {
-                return Err(bad("duration must be positive and finite"));
-            }
-            if !(current.is_finite() && current >= 0.0) {
-                return Err(bad("current must be non-negative and finite"));
-            }
-            if !(voltage.is_finite() && voltage > 0.0) {
-                return Err(bad("voltage must be positive and finite"));
-            }
             if duration < prev_duration {
                 return Err(berr(format!(
                     "design points of task {name} must be sorted by ascending duration"
                 )));
             }
             prev_duration = duration;
-            if j > 0 {
-                h.update(b",");
-            }
-            h.update(b"{\"duration\":");
-            let _ = put_num(duration, &mut h);
-            h.update(b",\"current\":");
-            let _ = put_num(current, &mut h);
-            h.update(b",\"voltage\":");
-            let _ = put_num(voltage, &mut h);
-            h.update(b"}");
             points.push(DesignPoint::with_voltage(
                 MilliAmps::new(current),
                 Minutes::new(duration),
                 Volts::new(voltage),
             ));
         }
-        h.update(b"]}");
         tasks.push(TaskNode {
             name: name.to_string(),
             points,
         });
     }
 
-    h.update(b"],\"edges\":[");
     let edge_count = r.u32("edge count")? as usize;
     r.cap_count(edge_count, 8, "edge")?;
     let mut edges = Vec::with_capacity(edge_count);
-    let mut prev_edge: Option<(usize, usize)> = None;
-    for e in 0..edge_count {
+    for _ in 0..edge_count {
         let u = r.u32("edge source")? as usize;
         let v = r.u32("edge target")? as usize;
         if u >= task_count || v >= task_count {
             return Err(berr(format!("edge ({u},{v}) references an unknown task")));
         }
-        if let Some(p) = prev_edge {
-            if (u, v) <= p {
-                return Err(berr(
-                    "edge table must be strictly sorted by (from, to) with no duplicates",
-                ));
-            }
+        if edges.last().is_some_and(|&p| (u, v) <= p) {
+            return Err(berr(
+                "edge table must be strictly sorted by (from, to) with no duplicates",
+            ));
         }
-        prev_edge = Some((u, v));
-        if e > 0 {
-            h.update(b",");
-        }
-        h.update(b"[");
-        let _ = put_num(u as f64, &mut h);
-        h.update(b",");
-        let _ = put_num(v as f64, &mut h);
-        h.update(b"]");
         edges.push((u, v));
     }
 
-    h.update(b"]},\"deadline\":");
     let deadline = r.f64("deadline")?;
-    let _ = put_num(deadline, &mut h);
-    if !(deadline.is_finite() && deadline > 0.0) {
-        return Err(WireError::InvalidDeadline { deadline });
-    }
-
-    h.update(b",\"model\":");
     let model = match r.u8("model tag")? {
         0 => None,
         1 => {
@@ -382,55 +327,19 @@ pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
         4 => Some(ModelSpec::Ideal),
         tag => return Err(berr(format!("unknown model tag {tag:#04x}"))),
     };
-    let default_model;
-    let spec = match &model {
-        Some(s) => s,
-        None => {
-            default_model = ModelSpec::default_rv();
-            &default_model
-        }
-    };
-    let _ = render_canonical_model(spec, &mut h);
-    spec.build()?; // validate parameters now, with a typed error
-
-    h.update(b",\"capacity\":");
     let capacity = match r.u8("capacity flag")? {
         0 => None,
         1 => Some(r.f64("capacity")?),
         f => return Err(berr(format!("capacity flag must be 0 or 1, got {f}"))),
     };
-    match capacity {
-        Some(c) if !(c.is_finite() && c > 0.0) => {
-            return Err(WireError::InvalidCapacity { capacity: c });
-        }
-        Some(c) => {
-            let _ = put_num(c, &mut h);
-        }
-        None => h.update(b"null"),
-    }
-
-    h.update(b",\"max_iterations\":");
     let max_iterations = match r.u8("max_iterations flag")? {
         0 => None,
-        1 => {
-            let n = usize::try_from(r.u64("max_iterations")?)
-                .map_err(|_| berr("max_iterations out of range"))?;
-            if n == 0 {
-                return Err(WireError::BadField {
-                    field: "max_iterations",
-                    message: "must be at least 1".into(),
-                });
-            }
-            Some(n)
-        }
+        1 => Some(
+            usize::try_from(r.u64("max_iterations")?)
+                .map_err(|_| berr("max_iterations out of range"))?,
+        ),
         f => return Err(berr(format!("max_iterations flag must be 0 or 1, got {f}"))),
     };
-    let _ = put_num(
-        max_iterations.unwrap_or(DEFAULT_MAX_ITERATIONS) as f64,
-        &mut h,
-    );
-    h.update(b"}");
-
     if r.remaining() != 0 {
         return Err(berr(format!(
             "{} trailing bytes after the request",
@@ -438,19 +347,16 @@ pub fn decode_request(buf: &[u8]) -> Result<(ScheduleRequest, u64), WireError> {
         )));
     }
 
-    let graph = TaskGraph::from_parts(tasks, edges, true)
-        .map_err(|e| WireError::Graph(IoError::Graph(e)))?;
-    Ok((
-        ScheduleRequest {
-            v: WIRE_VERSION,
-            graph,
-            deadline,
-            model,
-            capacity,
-            max_iterations,
-        },
-        h.finish(),
-    ))
+    let req = ScheduleRequest {
+        v: WIRE_VERSION,
+        graph: io::graph_from_parts(tasks, edges).map_err(WireError::Graph)?,
+        deadline,
+        model,
+        capacity,
+        max_iterations,
+    };
+    req.check()?;
+    Ok(req)
 }
 
 fn push_str16(out: &mut Vec<u8>, s: &str) {
@@ -598,12 +504,16 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_the_request_and_fuses_the_canonical_hash() {
+    fn round_trip_preserves_the_request_and_its_key() {
         for req in requests() {
             let bin = encode_request(&req);
             let (decoded, hash) = decode_request(&bin).unwrap();
             assert_eq!(decoded, req);
-            assert_eq!(hash, req.content_hash(), "fused hash must equal key");
+            assert_eq!(
+                hash,
+                req.content_hash(),
+                "decode_request must return the key"
+            );
             // Cross-format: the JSON spelling of the same request keys
             // identically.
             let json = serde_json::to_string(&req).unwrap();

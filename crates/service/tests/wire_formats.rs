@@ -94,10 +94,10 @@ fn request_from_seed(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The tentpole contract: for arbitrary requests, the binary encoding
-    /// round-trips exactly, its fused single-pass hash equals the
-    /// streaming JSON hash, and both admission paths (serde JSON parse,
-    /// binary decode) agree on the cache key byte-for-byte.
+    /// The cross-format contract: for arbitrary requests, the binary
+    /// encoding round-trips exactly, `decode_request` returns the content
+    /// hash of what it decoded, and both admission paths (serde JSON
+    /// parse, binary decode) agree on the cache key byte-for-byte.
     #[test]
     fn json_and_binary_admissions_agree_on_request_and_key(
         seed in 0u64..u64::MAX / 2,
@@ -112,18 +112,18 @@ proptest! {
         let parsed = parse_request(&json).expect("own JSON parses");
         prop_assert_eq!(&parsed, &req);
 
-        // Binary path: exact round trip, hash fused into the decode.
+        // Binary path: exact round trip, key of the decoded request.
         let bin = encode_request(&req);
-        let (decoded, fused_hash) = decode_request(&bin).expect("own encoding decodes");
+        let (decoded, bin_key) = decode_request(&bin).expect("own encoding decodes");
         prop_assert_eq!(&decoded, &req);
-        prop_assert_eq!(fused_hash, req.content_hash(), "fused hash != streamed hash");
+        prop_assert_eq!(bin_key, req.content_hash(), "binary key != streamed hash");
         prop_assert_eq!(decoded.key(), parsed.key(), "cache keys diverge across formats");
 
         // And the canonical rendering oracle agrees with the streamed hash.
         let oracle = req.canonical_json();
         let mut h = batsched_service::wire::Fnv::new();
         h.update(oracle.as_bytes());
-        prop_assert_eq!(h.finish(), fused_hash, "canonical JSON oracle diverged");
+        prop_assert_eq!(h.finish(), bin_key, "canonical JSON oracle diverged");
     }
 
     /// Unpanickable decoder: flipping any single byte of a valid encoding
@@ -379,5 +379,101 @@ fn response_transcoding_is_lossless_for_real_solver_output() {
         assert_eq!(serde_json::to_string(&back).unwrap(), reply.body);
         assert!(bin.len() < reply.body.len(), "binary response not smaller");
     }
+    svc.shutdown();
+}
+
+/// The cache key of one fixed request (G3 at its Table 4 deadline 230),
+/// as every earlier build computed it. Disk tiers key their records on
+/// it, so a change here would turn every persisted answer cold.
+#[test]
+fn the_key_of_a_fixed_request_is_pinned_in_both_spellings() {
+    const PINNED: &str = "6ec374bf0680d117";
+    let req = ScheduleRequest::new(g3(), 230.0);
+    let json = serde_json::to_string(&req).unwrap();
+    let bin = encode_request(&req);
+    assert_eq!(req.key(), PINNED);
+    assert_eq!(parse_request(&json).unwrap().key(), PINNED);
+    let (decoded, key) = decode_request(&bin).unwrap();
+    assert_eq!(format!("{key:016x}"), PINNED);
+    assert_eq!(decoded.key(), PINNED);
+    // The admission key is the one the response echoes: cold as JSON,
+    // then a cross-format hit as binary.
+    let svc = Service::start(ServiceConfig::default());
+    for reply in [svc.call(json), svc.call_bytes(bin, WireFormat::Binary)] {
+        let resp: ScheduleResponse = serde_json::from_str(&reply.body).expect(&reply.body);
+        assert_eq!(resp.key, PINNED);
+    }
+    svc.shutdown();
+}
+
+/// A one-task request whose task has a `name_bytes`-byte name and
+/// `points` design points (ascending durations, falling currents).
+fn one_task_request(name_bytes: usize, points: usize) -> ScheduleRequest {
+    let points = (0..points)
+        .map(|j| {
+            DesignPoint::with_voltage(
+                batsched_battery::units::MilliAmps::new(1e6 - j as f64),
+                batsched_battery::units::Minutes::new(1.0 + j as f64),
+                batsched_battery::units::Volts::new(1.0),
+            )
+        })
+        .collect();
+    let mut b = TaskGraph::builder();
+    b.task("n".repeat(name_bytes), points);
+    ScheduleRequest::new(b.build().expect("valid graph"), 1e9)
+}
+
+/// Both spellings admit the same set of requests: a name or point count
+/// at the binary format's `u16` limit admits in either spelling with one
+/// key, and one past it is a typed `invalid_graph` as JSON (the binary
+/// spelling cannot express it at all).
+#[test]
+fn names_and_point_counts_are_capped_alike_in_both_spellings() {
+    for (name_bytes, points) in [(65_535, 1), (1, 65_535)] {
+        let req = one_task_request(name_bytes, points);
+        let json_key = parse_request(&serde_json::to_string(&req).unwrap())
+            .expect("at the cap, JSON admits")
+            .content_hash();
+        let (_, bin_key) = decode_request(&encode_request(&req)).expect("binary admits");
+        assert_eq!(json_key, bin_key, "{name_bytes}-byte name, {points} points");
+        assert_eq!(json_key, req.content_hash());
+    }
+    for (name_bytes, points) in [(65_536, 1), (1, 65_536)] {
+        let req = one_task_request(name_bytes, points);
+        let e = parse_request(&serde_json::to_string(&req).unwrap()).unwrap_err();
+        assert_eq!(e.code(), "invalid_graph", "{e}");
+        assert!(decode_request(&encode_request(&req)).is_err());
+    }
+}
+
+/// Binary requests time their key like JSON ones: `hash_us` covers the
+/// content hash of the decoded request (here a 200-task graph, whose
+/// canonical form is ~100 KB, so the hash takes well over a microsecond).
+#[test]
+fn binary_requests_report_their_hash_time() {
+    let mut b = TaskGraph::builder();
+    let mut prev = None;
+    for t in 0..200 {
+        let points = (0..8)
+            .map(|j| {
+                DesignPoint::with_voltage(
+                    batsched_battery::units::MilliAmps::new(900.0 - 50.0 * j as f64),
+                    batsched_battery::units::Minutes::new(1.25 + j as f64),
+                    batsched_battery::units::Volts::new(1.0),
+                )
+            })
+            .collect();
+        let id = b.task(format!("task-{t}"), points);
+        if let Some(p) = prev {
+            b.edge(p, id);
+        }
+        prev = Some(id);
+    }
+    // Far below the minimum makespan: admitted, keyed, then infeasible.
+    let req = ScheduleRequest::new(b.build().expect("valid graph"), 1.0);
+    let svc = Service::start(ServiceConfig::default());
+    let reply = svc.call_bytes(encode_request(&req), WireFormat::Binary);
+    assert!(reply.body.contains("infeasible"), "{}", reply.body);
+    assert!(reply.trace.hash_us > 0, "binary hash_us must be measured");
     svc.shutdown();
 }

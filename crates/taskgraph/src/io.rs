@@ -124,8 +124,44 @@ pub fn graph_from_value(v: &Value) -> Result<TaskGraph, IoError> {
         .ok_or_else(|| shape_err("missing field `edges`".into()))?;
     let edges: Vec<(usize, usize)> = serde::Deserialize::from_value(edges_v)
         .map_err(|e| shape_err(format!("field `edges`: {e}")))?;
+    graph_from_parts(tasks, edges)
+}
 
-    for t in &tasks {
+/// Longest task name, in bytes, that an interchange document may carry.
+/// The binary wire format length-prefixes a name with a `u16`, and both
+/// wire spellings must admit the same set of graphs.
+pub const MAX_NAME_BYTES: usize = u16::MAX as usize;
+
+/// Most design points one task may carry (a `u16` count on the binary
+/// wire, as [`MAX_NAME_BYTES`]).
+pub const MAX_POINTS: usize = u16::MAX as usize;
+
+/// Builds a graph from decoded parts — the one validator every decoder of
+/// untrusted input (the JSON path above, the service's binary format)
+/// calls. On top of [`TaskGraph::from_parts`] it caps name lengths and
+/// point counts ([`IoError::Shape`]) and rejects, with task/point
+/// context, non-finite numbers, non-positive durations and voltages and
+/// negative currents ([`IoError::InvalidValue`]); duplicate edges are
+/// [`TaskGraphError::DuplicateEdge`].
+///
+/// # Errors
+///
+/// Every [`IoError`] variant except `Syntax`.
+pub fn graph_from_parts(
+    tasks: Vec<TaskNode>,
+    edges: Vec<(usize, usize)>,
+) -> Result<TaskGraph, IoError> {
+    for (i, t) in tasks.iter().enumerate() {
+        if t.name.len() > MAX_NAME_BYTES || t.points.len() > MAX_POINTS {
+            return Err(IoError::Shape {
+                message: format!(
+                    "task {i} has a {}-byte name and {} design points \
+                     (at most {MAX_NAME_BYTES} bytes and {MAX_POINTS} points)",
+                    t.name.len(),
+                    t.points.len()
+                ),
+            });
+        }
         for (j, p) in t.points.iter().enumerate() {
             let bad = |message: &str| IoError::InvalidValue {
                 task: t.name.clone(),
@@ -143,7 +179,6 @@ pub fn graph_from_value(v: &Value) -> Result<TaskGraph, IoError> {
             }
         }
     }
-
     Ok(TaskGraph::from_parts(tasks, edges, true)?)
 }
 

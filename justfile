@@ -52,8 +52,9 @@ service-bench:
     cargo run --release -p batsched-bench --bin loadgen -- --check
 
 # Binary-vs-JSON admission A/B on the n-scaling instances: both wire
-# formats must produce one cache key, and the fused single-pass binary
-# decode+hash must beat JSON parse+hash by >= 2x at n=200.
+# formats must produce one cache key, binary decode+hash must beat JSON
+# parse+hash by >= 2x at n=200, and JSON admission must grow no faster
+# than n^1.5.
 wire:
     cargo run --release -p batsched-bench --bin loadgen -- --wire --check
 
